@@ -149,8 +149,9 @@ impl<'a> OracleStream<'a> {
     /// `lookahead` instructions past the cursor are buffered (or the
     /// source is exhausted). The consumed prefix is dropped with
     /// `Vec::drain` (a memmove within the existing allocation) and the
-    /// tail is topped up to `cap`, so steady-state refills never touch
-    /// the heap.
+    /// tail is topped up to `cap` with one [`InstSource::fill`] call, so
+    /// steady-state refills never touch the heap and pay one dynamic
+    /// call per refill rather than one per instruction.
     fn refill(&mut self) {
         if self.eof {
             return;
@@ -164,14 +165,9 @@ impl<'a> OracleStream<'a> {
             self.base = self.pos;
         }
         let src = self.source.as_deref_mut().expect("refill is streaming-only");
-        while self.window.len() < self.cap {
-            match src.next_inst() {
-                Some(d) => self.window.push(d),
-                None => {
-                    self.eof = true;
-                    break;
-                }
-            }
+        let want = self.cap - self.window.len();
+        if src.fill(&mut self.window, want) < want {
+            self.eof = true;
         }
     }
 
@@ -361,7 +357,7 @@ impl std::fmt::Debug for OracleStream<'_> {
 mod tests {
     use super::*;
     use xbc_isa::Inst;
-    use xbc_workload::{IterSource, ProgramBuilder, Trace};
+    use xbc_workload::{ChannelSource, IterSource, ProgramBuilder, Trace, TraceStream};
 
     fn trace() -> Trace {
         let mut b = ProgramBuilder::new();
@@ -448,13 +444,12 @@ mod tests {
         Trace::capture("long", &p, 7, n)
     }
 
-    #[test]
-    fn streaming_matches_resident_with_a_tiny_window() {
-        let t = long_trace(5_000);
-        let mut src = IterSource::new(t.insts().iter().copied());
+    /// Drives a tiny-window streaming cursor over `src` in lockstep with
+    /// a resident cursor over `t`.
+    fn assert_streaming_matches_resident(t: &Trace, src: &mut dyn InstSource) {
         // Window far smaller than the trace forces hundreds of refills.
-        let mut s = OracleStream::streaming_with_window(&mut src, 64, 16);
-        let mut r = OracleStream::new(&t);
+        let mut s = OracleStream::streaming_with_window(src, 64, 16);
+        let mut r = OracleStream::new(t);
         let mut k = 0usize;
         while !r.done() {
             assert!(!s.done(), "streaming ended early at inst {}", r.inst_index());
@@ -474,6 +469,41 @@ mod tests {
         assert!(s.done());
         assert_eq!(s.delivered_uops(), r.delivered_uops());
         assert_eq!(s.take_uops(4), 0);
+    }
+
+    #[test]
+    fn streaming_matches_resident_with_a_tiny_window() {
+        let t = long_trace(5_000);
+
+        // The default one-at-a-time fill.
+        let mut src = IterSource::new(t.insts().iter().copied());
+        assert_streaming_matches_resident(&t, &mut src);
+
+        // The XBT1 decoder's batch fill, over encoded bytes.
+        let mut encoded = Vec::new();
+        t.save(&mut encoded).unwrap();
+        let mut src = TraceStream::new(encoded.as_slice()).unwrap();
+        assert_streaming_matches_resident(&t, &mut src);
+
+        // The channel's slice-copy fill, fed odd-sized chunks so refills
+        // straddle chunk boundaries.
+        let (tx, src) = ChannelSource::bounded("long", t.inst_count() as u64);
+        std::thread::scope(|scope| {
+            // Owned here so a failed assert drops it and unblocks the feeder.
+            let mut src = src;
+            let mut rest = t.insts();
+            scope.spawn(move || {
+                for size in [1, 13, 97, 5, 250, 31].iter().cycle() {
+                    if rest.is_empty() {
+                        break;
+                    }
+                    let (chunk, tail) = rest.split_at((*size).min(rest.len()));
+                    tx.send(chunk.to_vec().into_boxed_slice()).unwrap();
+                    rest = tail;
+                }
+            });
+            assert_streaming_matches_resident(&t, &mut src);
+        });
     }
 
     #[test]

@@ -16,7 +16,6 @@
 //! ```
 
 use std::fs::File;
-use std::io::BufReader;
 use std::process::exit;
 use xbc_serve::protocol::SweepRequest;
 use xbc_serve::Endpoint;
@@ -156,9 +155,7 @@ fn cmd_list() {
 /// that — same replay path, demonstrating metric equivalence.
 fn cmd_run_streamed(flags: &Flags, spec: &FrontendSpec, check: bool) {
     let input: Box<dyn std::io::Read> = if let Some(path) = flags.get("from") {
-        Box::new(BufReader::new(
-            File::open(path).unwrap_or_else(|e| fail(&format!("open {path}: {e}"))),
-        ))
+        Box::new(File::open(path).unwrap_or_else(|e| fail(&format!("open {path}: {e}"))))
     } else {
         let name = flags.get("trace").unwrap_or_else(|| fail("run needs --trace or --from"));
         let trace = load_trace_by_name(name, flags.get_usize("inst", 500_000));

@@ -44,7 +44,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
-use std::io::{BufReader, BufWriter, ErrorKind, Read, Write};
+use std::io::{BufWriter, ErrorKind, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -580,7 +580,7 @@ impl Store {
             }
         };
         let size = file.metadata().map(|m| m.len()).unwrap_or(0);
-        match Trace::load(BufReader::new(file)) {
+        match Trace::load(file) {
             Ok(trace) if trace.name() == spec.name && trace.inst_count() == insts => {
                 self.c.trace_hits.fetch_add(1, Ordering::Relaxed);
                 self.c.bytes_read.fetch_add(size, Ordering::Relaxed);
@@ -676,13 +676,18 @@ impl Store {
     /// O(window) — the `xbc-serve` daemon — instead of materialising the
     /// whole `Trace`. Because a mid-replay decode error would surface as
     /// a panic deep inside a simulation (`TraceStream` fails loudly by
-    /// contract), the entry is fully validated *first*: one streaming
-    /// scan over every record, checking the header identity and the
-    /// CRC32 trailer in O(1) memory. A corrupt or mismatched entry is
-    /// evicted and reported as `None`, exactly like [`Store::load_trace`];
-    /// the returned stream then replays a file known good moments ago,
-    /// so a panic mid-replay means truly concurrent corruption, which is
-    /// worth being loud about.
+    /// contract), the entry is fully validated *first*: the header
+    /// identity, then a validate-only scan ([`TraceReader::validate`])
+    /// that runs the decoder's own record grammar and the CRC32 trailer
+    /// check over every byte, in O(block) memory, without building a
+    /// single instruction. A corrupt or mismatched entry is evicted and
+    /// reported as `None`, exactly like [`Store::load_trace`].
+    ///
+    /// The returned stream replays the *same open file*, rewound to its
+    /// start: a concurrent evict or recapture of the path after
+    /// validation cannot swap an unvalidated file in underneath it. A
+    /// panic mid-replay therefore means the validated bytes themselves
+    /// changed, which is worth being loud about.
     ///
     /// An absent entry returns `None` *without* counting a miss, so a
     /// caller falling back to [`Store::get_or_capture`] doesn't count
@@ -693,11 +698,11 @@ impl Store {
         &self,
         spec: &TraceSpec,
         insts: usize,
-    ) -> Option<TraceStream<BufReader<fs::File>>> {
+    ) -> Option<TraceStream<fs::File>> {
         let path = self.trace_path(spec, insts);
-        let file = fs::File::open(&path).ok()?;
+        let mut file = fs::File::open(&path).ok()?;
         let size = file.metadata().map(|m| m.len()).unwrap_or(0);
-        let reader = match TraceReader::new(BufReader::new(file)) {
+        let mut reader = match TraceReader::new(&mut file) {
             Ok(r) => r,
             Err(e) => {
                 self.evict(&path, &e.to_string());
@@ -716,15 +721,14 @@ impl Store {
             );
             return None;
         }
-        for record in reader {
-            if let Err(e) = record {
-                self.evict(&path, &e.to_string());
-                return None;
-            }
+        if let Err(e) = reader.validate() {
+            self.evict(&path, &e.to_string());
+            return None;
         }
-        // Validated end to end; reopen for the real replay.
-        let file = fs::File::open(&path).ok()?;
-        match TraceStream::new(BufReader::new(file)) {
+        drop(reader);
+        // Validated end to end; replay the same handle from the start.
+        file.seek(SeekFrom::Start(0)).ok()?;
+        match TraceStream::new(file) {
             Ok(stream) => {
                 self.c.trace_hits.fetch_add(1, Ordering::Relaxed);
                 self.c.bytes_read.fetch_add(size, Ordering::Relaxed);
@@ -1153,6 +1157,13 @@ mod tests {
         let mut stream = store.open_trace_stream(spec, 1_000).expect("warm entry streams");
         assert_eq!(stream.name(), spec.name);
         assert_eq!(stream.inst_count(), 1_000);
+        // The stream replays the handle that was validated: a recapture
+        // renaming other bytes over the entry changes nothing for it.
+        let path = store.trace_path(spec, 1_000);
+        let good = fs::read(&path).unwrap();
+        let swapped = path.with_extension("swap");
+        fs::write(&swapped, b"not a trace").unwrap();
+        fs::rename(&swapped, &path).unwrap();
         use xbc_workload::InstSource;
         let mut n = 0usize;
         while let Some(d) = stream.next_inst() {
@@ -1161,10 +1172,10 @@ mod tests {
         }
         assert_eq!(n, 1_000);
         assert_eq!(store.stats().trace_hits, 1);
+        fs::write(&path, &good).unwrap();
         // Wrong inst count: different entry, absent, quiet None.
         assert!(store.open_trace_stream(spec, 999).is_none());
         // Corruption is caught by the validation scan, not mid-replay.
-        let path = store.trace_path(spec, 1_000);
         let mut raw = fs::read(&path).unwrap();
         let mid = raw.len() / 2;
         raw[mid] ^= 0x5A;

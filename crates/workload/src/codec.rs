@@ -10,8 +10,9 @@
 //!   the instruction's own IP;
 //! * **enum packing** — branch kind, taken bit and presence flags share
 //!   one byte; encoded length and uop count share another;
-//! * **CRC32 trailer** — a hand-rolled IEEE CRC32 over everything after
-//!   the magic, so truncation and bit-flips are detected on read;
+//! * **CRC32 trailer** — a hand-rolled IEEE CRC32 (table-driven
+//!   slicing-by-8, eight bytes per step) over everything after the
+//!   magic, so truncation and bit-flips are detected on read;
 //! * **no serde** — the codec is ~300 lines of std-only Rust, so the
 //!   workspace builds offline.
 //!
@@ -34,9 +35,17 @@
 //! (only for direct branches) and the next-IP delta (only for taken
 //! transfers).
 //!
-//! [`TraceReader`] decodes *streaming*: one record at a time, O(1)
-//! memory, so multi-million-instruction traces can be validated or
-//! replayed without materializing a `Vec<DynInst>`.
+//! [`TraceReader`] decodes *streaming*: it reads 64 KiB blocks into its
+//! own buffer, parses records from that buffer and CRCs each consumed
+//! span whole, so multi-million-instruction traces replay in O(block)
+//! memory without materializing a `Vec<DynInst>`. The record grammar is
+//! one function with a const-generic decode flag: batch decoding (what
+//! `TraceStream` refills use) and the iterator run it decoding, while
+//! [`TraceReader::validate`]
+//! runs it validate-only — every structural check and the CRC, but no
+//! `DynInst` is built — so a stored trace can be checked end to end at
+//! close to the cost of reading its bytes, and the two modes cannot
+//! disagree about which inputs are valid.
 
 use crate::exec::{DynInst, ExecStats};
 use std::fmt;
@@ -100,10 +109,13 @@ impl From<std::io::Error> for TraceError {
 }
 
 // ---------------------------------------------------------------------------
-// CRC32 (IEEE 802.3, reflected), table-driven.
+// CRC32 (IEEE 802.3, reflected), table-driven slicing-by-8.
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `CRC_TABLES[0]` is the classic bytewise table; `CRC_TABLES[k][b]` is
+/// the CRC state contribution of byte `b` followed by `k` zero bytes, so
+/// eight table lookups fold eight input bytes per step.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -112,20 +124,44 @@ const fn crc32_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// Feeds `bytes` into a running CRC32 (start from `0`, use the returned
 /// value as the next call's `crc`).
 pub fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = !crc;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -237,6 +273,10 @@ fn write_varint(out: &mut Vec<u8>, mut v: u64) {
 // ---------------------------------------------------------------------------
 // Encoder.
 
+/// Encoded records are buffered up to this many bytes, then CRC'd and
+/// written as one span.
+const ENCODE_SPAN: usize = 8 * 1024;
+
 /// Writer half of the codec: call [`Encoder::record`] once per dynamic
 /// instruction, then [`Encoder::finish`] to emit the CRC trailer.
 pub struct Encoder<W: Write> {
@@ -278,6 +318,13 @@ impl<W: Write> Encoder<W> {
         assert!(self.remaining > 0, "encoder received more records than declared");
         self.remaining -= 1;
         self.expected_ip = encode_record(&mut self.buf, self.expected_ip, d);
+        if self.buf.len() >= ENCODE_SPAN {
+            self.write_span()?;
+        }
+        Ok(())
+    }
+
+    fn write_span(&mut self) -> Result<(), TraceError> {
         self.crc = crc32_update(self.crc, &self.buf);
         self.out.write_all(&self.buf)?;
         self.buf.clear();
@@ -291,6 +338,7 @@ impl<W: Write> Encoder<W> {
     /// Panics if fewer records were written than declared in the header.
     pub fn finish(mut self) -> Result<(), TraceError> {
         assert_eq!(self.remaining, 0, "encoder finished before all declared records");
+        self.write_span()?;
         self.out.write_all(&self.crc.to_le_bytes())?;
         self.out.flush()?;
         Ok(())
@@ -403,6 +451,13 @@ impl<W: Write + Seek> StreamEncoder<W> {
         assert!(self.remaining > 0, "encoder received more records than declared");
         self.remaining -= 1;
         self.expected_ip = encode_record(&mut self.buf, self.expected_ip, d);
+        if self.buf.len() >= ENCODE_SPAN {
+            self.write_span()?;
+        }
+        Ok(())
+    }
+
+    fn write_span(&mut self) -> Result<(), TraceError> {
         self.crc_records = crc32_update(self.crc_records, &self.buf);
         self.records_len += self.buf.len() as u64;
         self.out.write_all(&self.buf)?;
@@ -420,6 +475,7 @@ impl<W: Write + Seek> StreamEncoder<W> {
     /// Panics if fewer records were written than declared in the header.
     pub fn finish(mut self, stats: ExecStats) -> Result<(), TraceError> {
         assert_eq!(self.remaining, 0, "encoder finished before all declared records");
+        self.write_span()?;
         let mut stats_bytes = [0u8; 40];
         for (i, v) in
             [stats.insts, stats.uops, stats.elided_calls, stats.wrapped_returns, stats.interrupts]
@@ -467,11 +523,130 @@ fn branch_kind_from_code(code: u8) -> Option<BranchKind> {
 // ---------------------------------------------------------------------------
 // Streaming decoder.
 
+/// Size of the decoder's read buffer. Header fields (the name is at
+/// most `u16::MAX` bytes) always fit in one block.
+const BLOCK: usize = 64 * 1024;
+
+/// Longest possible record: flags, shape and three 10-byte varints.
+const MAX_RECORD: usize = 2 + 3 * 10;
+
+// Error constructors stay out of line so the record parser's hot path
+// carries no formatting code.
+
+#[cold]
+#[inline(never)]
+fn corrupt(what: &str) -> TraceError {
+    TraceError::Corrupt(what.into())
+}
+
+#[cold]
+#[inline(never)]
+fn truncated() -> TraceError {
+    corrupt("truncated file")
+}
+
+#[cold]
+#[inline(never)]
+fn bad_shape(shape: u8) -> TraceError {
+    TraceError::Corrupt(format!("invalid shape byte {shape:#04x}"))
+}
+
+#[cold]
+#[inline(never)]
+fn bad_target(branch: BranchKind) -> TraceError {
+    TraceError::Corrupt(format!("target presence contradicts branch kind {branch:?}"))
+}
+
+/// Reads the varint at `b[*at..]`, advancing `*at` past it.
+#[inline(always)]
+fn read_varint(b: &[u8], at: &mut usize) -> Result<u64, TraceError> {
+    let mut v = 0u64;
+    let mut shift = 0u32;
+    loop {
+        let byte = *b.get(*at).ok_or_else(truncated)?;
+        *at += 1;
+        if shift >= 63 && byte > 1 {
+            return Err(corrupt("varint overflows 64 bits"));
+        }
+        v |= ((byte & 0x7F) as u64) << shift;
+        if byte & 0x80 == 0 {
+            return Ok(v);
+        }
+        shift += 7;
+    }
+}
+
+/// The record grammar: parses the record at the front of `b`, making
+/// every structural check, and returns its length in bytes plus — only
+/// when `DECODE` — the decoded instruction. Decoding and validate-only
+/// scans both run this one function, so they accept exactly the same
+/// inputs; a validate-only scan just never builds the `DynInst`, which
+/// lets the compiler drop the address arithmetic. Running off the end
+/// of `b` is truncation: callers pass at least [`MAX_RECORD`] bytes
+/// unless the input has ended.
+#[inline(always)]
+fn parse_record<const DECODE: bool>(
+    b: &[u8],
+    expected_ip: Addr,
+) -> Result<(usize, Option<DynInst>), TraceError> {
+    let flags = *b.first().ok_or_else(truncated)?;
+    if flags & 0x80 != 0 {
+        return Err(corrupt("reserved flag bit set"));
+    }
+    let branch =
+        branch_kind_from_code(flags & 0x07).ok_or_else(|| corrupt("invalid branch kind"))?;
+    let shape = *b.get(1).ok_or_else(truncated)?;
+    let len = shape & 0x0F;
+    let uops = (shape >> 4) + 1;
+    if len == 0 || uops > Inst::MAX_UOPS || shape >> 6 != 0 {
+        return Err(bad_shape(shape));
+    }
+    let mut at = 2;
+    let ip = if flags & FLAG_IP_EXPECTED != 0 {
+        expected_ip
+    } else {
+        let delta = unzigzag(read_varint(b, &mut at)?);
+        Addr::new(expected_ip.raw().wrapping_add(delta as u64))
+    };
+    let wants_target = matches!(
+        branch,
+        BranchKind::CondDirect | BranchKind::UncondDirect | BranchKind::CallDirect
+    );
+    if wants_target != (flags & FLAG_HAS_TARGET != 0) {
+        return Err(bad_target(branch));
+    }
+    let target = if wants_target {
+        let delta = unzigzag(read_varint(b, &mut at)?);
+        Some(Addr::new(ip.raw().wrapping_add(delta as u64)))
+    } else {
+        None
+    };
+    let next_delta =
+        if flags & FLAG_NEXT_SEQ != 0 { None } else { Some(unzigzag(read_varint(b, &mut at)?)) };
+    if !DECODE {
+        return Ok((at, None));
+    }
+    // The grammar above has made every check `Inst::new` asserts.
+    let inst = Inst { ip, len, uops, branch, target };
+    let next_ip = match next_delta {
+        None => inst.next_seq(),
+        Some(delta) => Addr::new(ip.raw().wrapping_add(delta as u64)),
+    };
+    Ok((at, Some(DynInst { inst, taken: flags & FLAG_TAKEN != 0, next_ip })))
+}
+
 /// Streaming trace decoder: an iterator of [`DynInst`]s over any byte
-/// source. Reads one record at a time — a 30M-instruction replay touches
-/// O(1) memory. The CRC trailer is verified after the final record; a
-/// mismatch (or any truncation / field corruption) surfaces as an `Err`
-/// item, never a panic.
+/// source. Reads the input in 64 KiB blocks into its own buffer, parses
+/// records straight from that buffer, and CRCs each consumed span in
+/// one pass — a 30M-instruction replay touches O(block) memory. The CRC
+/// trailer is verified as soon as the final record is consumed, before
+/// that record is handed out; a mismatch (or any truncation / field
+/// corruption) surfaces as an `Err`, never a panic.
+///
+/// Besides the per-record [`Iterator`], a crate-internal `fill` decodes
+/// a batch into a caller's buffer (`TraceStream` refills go through it)
+/// and [`TraceReader::validate`] runs the same checks without decoding
+/// at all.
 ///
 /// # Examples
 ///
@@ -489,14 +664,22 @@ fn branch_kind_from_code(code: u8) -> Option<BranchKind> {
 /// ```
 pub struct TraceReader<R: Read> {
     input: R,
+    /// Read buffer: `buf[pos..end]` is read but not yet parsed.
+    buf: Box<[u8]>,
+    pos: usize,
+    end: usize,
+    /// `buf[crc_from..pos]` is parsed but not yet folded into `crc`.
+    crc_from: usize,
     crc: u32,
+    /// `input` has reported end of file.
+    eof: bool,
     name: String,
     count: u64,
     stats: ExecStats,
     expected_ip: Addr,
     remaining: u64,
-    /// Set after the trailer has been verified (or an error was yielded);
-    /// the iterator is fused from then on.
+    /// Set after the trailer has been verified (or an error was
+    /// returned); the reader yields nothing from then on.
     done: bool,
 }
 
@@ -507,45 +690,48 @@ impl<R: Read> TraceReader<R> {
     ///
     /// Returns [`TraceError::Corrupt`] on bad magic or malformed header
     /// fields, [`TraceError::Version`] on a format-version mismatch.
-    pub fn new(mut input: R) -> Result<Self, TraceError> {
-        let mut magic = [0u8; 4];
-        input.read_exact(&mut magic)?;
-        if magic != MAGIC {
+    pub fn new(input: R) -> Result<Self, TraceError> {
+        let mut r = TraceReader {
+            input,
+            buf: vec![0u8; BLOCK].into_boxed_slice(),
+            pos: 0,
+            end: 0,
+            crc_from: 0,
+            crc: 0,
+            eof: false,
+            name: String::new(),
+            count: 0,
+            stats: ExecStats::default(),
+            expected_ip: Addr::NULL,
+            remaining: 0,
+            done: false,
+        };
+        if r.take_array()? != MAGIC {
             return Err(TraceError::Corrupt("bad magic (not an XBT trace file)".into()));
         }
-        let mut crc = 0u32;
-        let version = read_u32(&mut input, &mut crc)?;
+        // The CRC covers everything after the magic.
+        r.crc_from = r.pos;
+        let version = u32::from_le_bytes(r.take_array()?);
         if version != FORMAT_VERSION {
             return Err(TraceError::Version(version));
         }
-        let name_len = read_u16(&mut input, &mut crc)? as usize;
-        let mut name_bytes = vec![0u8; name_len];
-        input.read_exact(&mut name_bytes)?;
-        crc = crc32_update(crc, &name_bytes);
-        let name = String::from_utf8(name_bytes)
+        let name_len = u16::from_le_bytes(r.take_array()?) as usize;
+        r.name = String::from_utf8(r.take_bytes(name_len)?.to_vec())
             .map_err(|_| TraceError::Corrupt("trace name is not UTF-8".into()))?;
-        let count = read_u64(&mut input, &mut crc)?;
+        r.count = u64::from_le_bytes(r.take_array()?);
         let mut s = [0u64; 5];
         for v in &mut s {
-            *v = read_u64(&mut input, &mut crc)?;
+            *v = u64::from_le_bytes(r.take_array()?);
         }
-        let stats = ExecStats {
+        r.stats = ExecStats {
             insts: s[0],
             uops: s[1],
             elided_calls: s[2],
             wrapped_returns: s[3],
             interrupts: s[4],
         };
-        Ok(TraceReader {
-            input,
-            crc,
-            name,
-            count,
-            stats,
-            expected_ip: Addr::NULL,
-            remaining: count,
-            done: false,
-        })
+        r.remaining = r.count;
+        Ok(r)
     }
 
     /// Trace name from the header.
@@ -563,78 +749,96 @@ impl<R: Read> TraceReader<R> {
         self.stats
     }
 
-    fn read_record(&mut self) -> Result<DynInst, TraceError> {
-        let flags = self.read_byte()?;
-        if flags & 0x80 != 0 {
-            return Err(TraceError::Corrupt("reserved flag bit set".into()));
-        }
-        let branch = branch_kind_from_code(flags & 0x07)
-            .ok_or_else(|| TraceError::Corrupt("invalid branch kind".into()))?;
-        let shape = self.read_byte()?;
-        let len = shape & 0x0F;
-        let uops = (shape >> 4) + 1;
-        if len == 0 || uops > Inst::MAX_UOPS || shape >> 6 != 0 {
-            return Err(TraceError::Corrupt(format!("invalid shape byte {shape:#04x}")));
-        }
-        let ip = if flags & FLAG_IP_EXPECTED != 0 {
-            self.expected_ip
-        } else {
-            let delta = unzigzag(self.read_varint()?);
-            Addr::new(self.expected_ip.raw().wrapping_add(delta as u64))
-        };
-        let wants_target = matches!(
-            branch,
-            BranchKind::CondDirect | BranchKind::UncondDirect | BranchKind::CallDirect
-        );
-        if wants_target != (flags & FLAG_HAS_TARGET != 0) {
-            return Err(TraceError::Corrupt(format!(
-                "target presence contradicts branch kind {branch:?}"
-            )));
-        }
-        let target = if flags & FLAG_HAS_TARGET != 0 {
-            let delta = unzigzag(self.read_varint()?);
-            Some(Addr::new(ip.raw().wrapping_add(delta as u64)))
-        } else {
-            None
-        };
-        let inst = Inst::new(ip, len, uops, branch, target);
-        let next_ip = if flags & FLAG_NEXT_SEQ != 0 {
-            inst.next_seq()
-        } else {
-            let delta = unzigzag(self.read_varint()?);
-            Addr::new(ip.raw().wrapping_add(delta as u64))
-        };
-        self.expected_ip = next_ip;
-        Ok(DynInst { inst, taken: flags & FLAG_TAKEN != 0, next_ip })
+    /// Decodes up to `max` further instructions, appending them to
+    /// `out`, and returns how many it appended. Fewer than `max` means
+    /// the stream has ended and its CRC trailer has been verified.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceError`] on I/O failure, truncation, an invalid
+    /// field or a CRC mismatch. Records decoded before the error may
+    /// already be in `out`; the reader yields nothing afterwards.
+    pub(crate) fn fill(&mut self, out: &mut Vec<DynInst>, max: usize) -> Result<usize, TraceError> {
+        let n = self.scan::<true>(max as u64, |d| out.push(d))?;
+        Ok(n as usize)
     }
 
-    fn read_byte(&mut self) -> Result<u8, TraceError> {
-        let mut b = [0u8; 1];
-        self.input.read_exact(&mut b)?;
-        self.crc = crc32_update(self.crc, &b);
-        Ok(b[0])
+    /// Checks every remaining record and the CRC trailer without
+    /// decoding: the same record grammar and structural checks as
+    /// decoding, but no `DynInst` is built. After this the reader is
+    /// exhausted.
+    ///
+    /// # Errors
+    ///
+    /// Returns exactly the [`TraceError`] that decoding the rest of the
+    /// stream would have returned.
+    pub fn validate(&mut self) -> Result<(), TraceError> {
+        self.scan::<false>(u64::MAX, |_| {}).map(|_| ())
     }
 
-    fn read_varint(&mut self) -> Result<u64, TraceError> {
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.read_byte()?;
-            if shift >= 63 && byte > 1 {
-                return Err(TraceError::Corrupt("varint overflows 64 bits".into()));
-            }
-            v |= ((byte & 0x7F) as u64) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
+    /// Runs the record grammar over up to `max` records, handing each
+    /// decoded instruction to `sink` (validate-only scans hand none), and
+    /// verifies the trailer once the last record is consumed. Returns
+    /// the number of records consumed.
+    fn scan<const DECODE: bool>(
+        &mut self,
+        max: u64,
+        mut sink: impl FnMut(DynInst),
+    ) -> Result<u64, TraceError> {
+        if self.done {
+            return Ok(0);
         }
+        let n = max.min(self.remaining);
+        let result = self.scan_records::<DECODE>(n, &mut sink);
+        self.done = result.is_err() || self.remaining == 0;
+        result.map(|()| n)
+    }
+
+    fn scan_records<const DECODE: bool>(
+        &mut self,
+        n: u64,
+        sink: &mut impl FnMut(DynInst),
+    ) -> Result<(), TraceError> {
+        let mut left = n;
+        while left > 0 {
+            self.fill_buf(MAX_RECORD)?;
+            // Parse every record the buffer is sure to hold whole (all of
+            // them once the input has ended: running short is then
+            // truncation) with the cursor kept in locals.
+            let bytes = &self.buf[..self.end];
+            let last_whole = if self.eof { usize::MAX } else { bytes.len() - MAX_RECORD };
+            let (mut pos, mut ip) = (self.pos, self.expected_ip);
+            let result = loop {
+                if left == 0 || pos > last_whole {
+                    break Ok(());
+                }
+                match parse_record::<DECODE>(&bytes[pos..], ip) {
+                    Ok((len, d)) => {
+                        pos += len;
+                        left -= 1;
+                        if let Some(d) = d {
+                            ip = d.next_ip;
+                            sink(d);
+                        }
+                    }
+                    Err(e) => break Err(e),
+                }
+            };
+            self.pos = pos;
+            self.expected_ip = ip;
+            result?;
+        }
+        self.remaining -= n;
+        if self.remaining == 0 {
+            self.read_trailer()?;
+        }
+        Ok(())
     }
 
     fn read_trailer(&mut self) -> Result<(), TraceError> {
-        let mut t = [0u8; 4];
-        self.input.read_exact(&mut t)?;
-        let stored = u32::from_le_bytes(t);
+        self.crc = crc32_update(self.crc, &self.buf[self.crc_from..self.pos]);
+        self.crc_from = self.pos;
+        let stored = u32::from_le_bytes(self.take_array()?);
         if stored != self.crc {
             return Err(TraceError::Corrupt(format!(
                 "CRC mismatch: stored {stored:#010x}, computed {:#010x}",
@@ -643,50 +847,72 @@ impl<R: Read> TraceReader<R> {
         }
         Ok(())
     }
-}
 
-fn read_u16<R: Read>(input: &mut R, crc: &mut u32) -> Result<u16, TraceError> {
-    let mut b = [0u8; 2];
-    input.read_exact(&mut b)?;
-    *crc = crc32_update(*crc, &b);
-    Ok(u16::from_le_bytes(b))
-}
+    /// Makes at least `want` (≤ [`BLOCK`]) unparsed bytes available in
+    /// the buffer unless the input ends first. The parsed span is folded
+    /// into the CRC and the unparsed tail slid to the front before
+    /// reading more.
+    fn fill_buf(&mut self, want: usize) -> Result<(), TraceError> {
+        debug_assert!(want <= BLOCK);
+        if self.end - self.pos >= want || self.eof {
+            return Ok(());
+        }
+        self.crc = crc32_update(self.crc, &self.buf[self.crc_from..self.pos]);
+        self.buf.copy_within(self.pos..self.end, 0);
+        self.end -= self.pos;
+        self.pos = 0;
+        self.crc_from = 0;
+        while self.end < want {
+            match self.input.read(&mut self.buf[self.end..]) {
+                Ok(0) => {
+                    self.eof = true;
+                    break;
+                }
+                Ok(n) => self.end += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+        Ok(())
+    }
 
-fn read_u32<R: Read>(input: &mut R, crc: &mut u32) -> Result<u32, TraceError> {
-    let mut b = [0u8; 4];
-    input.read_exact(&mut b)?;
-    *crc = crc32_update(*crc, &b);
-    Ok(u32::from_le_bytes(b))
-}
+    /// Consumes the next `n` (≤ [`BLOCK`]) bytes.
+    fn take_bytes(&mut self, n: usize) -> Result<&[u8], TraceError> {
+        self.fill_buf(n)?;
+        if self.end - self.pos < n {
+            return Err(truncated());
+        }
+        self.pos += n;
+        Ok(&self.buf[self.pos - n..self.pos])
+    }
 
-fn read_u64<R: Read>(input: &mut R, crc: &mut u32) -> Result<u64, TraceError> {
-    let mut b = [0u8; 8];
-    input.read_exact(&mut b)?;
-    *crc = crc32_update(*crc, &b);
-    Ok(u64::from_le_bytes(b))
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], TraceError> {
+        let mut a = [0u8; N];
+        a.copy_from_slice(self.take_bytes(N)?);
+        Ok(a)
+    }
 }
 
 impl<R: Read> Iterator for TraceReader<R> {
     type Item = Result<DynInst, TraceError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        if self.remaining == 0 {
-            self.done = true;
-            return match self.read_trailer() {
-                Ok(()) => None,
-                Err(e) => Some(Err(e)),
-            };
-        }
-        self.remaining -= 1;
-        match self.read_record() {
-            Ok(d) => Some(Ok(d)),
-            Err(e) => {
-                self.done = true;
-                Some(Err(e))
+        // Fast path: a record the buffer holds whole that is not the last
+        // one (whose trailer check the scan makes). Anything else, errors
+        // included, goes through the scan, which re-parses and reports.
+        if !self.done && self.remaining > 1 && self.end - self.pos >= MAX_RECORD {
+            let bytes = &self.buf[self.pos..self.end];
+            if let Ok((len, Some(d))) = parse_record::<true>(bytes, self.expected_ip) {
+                self.pos += len;
+                self.remaining -= 1;
+                self.expected_ip = d.next_ip;
+                return Some(Ok(d));
             }
+        }
+        let mut got = None;
+        match self.scan::<true>(1, |d| got = Some(d)) {
+            Ok(_) => got.map(Ok),
+            Err(e) => Some(Err(e)),
         }
     }
 
@@ -820,6 +1046,202 @@ mod tests {
             Err(TraceError::Version(99)) => {}
             Err(other) => panic!("expected version error, got {other}"),
             Ok(_) => panic!("expected version error, got a reader"),
+        }
+    }
+
+    /// splitmix64: tiny and seedable, for the mutation and split tests.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// The bytewise CRC32 kernel that slicing-by-8 replaced: the reference
+    /// the fast kernel must match.
+    fn crc32_bytewise(crc: u32, bytes: &[u8]) -> u32 {
+        let mut c = !crc;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    #[test]
+    fn slicing_by_8_matches_the_bytewise_reference() {
+        let mut rng = Rng(0x5eed_c3c3);
+        let data: Vec<u8> = (0..8192).map(|_| rng.next() as u8).collect();
+        // Every length 0..=64 at every start alignment, from a zero and a
+        // non-zero running CRC.
+        for align in 0..8 {
+            for len in 0..=64 {
+                let bytes = &data[align..align + len];
+                for seed in [0, 0xDEAD_BEEF] {
+                    assert_eq!(
+                        crc32_update(seed, bytes),
+                        crc32_bytewise(seed, bytes),
+                        "align {align}, len {len}, seed {seed:#x}"
+                    );
+                }
+            }
+        }
+        // Random incremental splits fold to the one-shot reference.
+        let whole = crc32_bytewise(0, &data);
+        for _ in 0..200 {
+            let (mut crc, mut at) = (0, 0);
+            while at < data.len() {
+                let step = 1 + rng.below(97.min(data.len() - at));
+                crc = crc32_update(crc, &data[at..at + step]);
+                at += step;
+            }
+            assert_eq!(crc, whole);
+        }
+    }
+
+    /// Decodes through the batch path in batches of `batch`.
+    fn decode_batched(bytes: &[u8], batch: usize) -> Result<Vec<DynInst>, TraceError> {
+        let mut r = TraceReader::new(bytes)?;
+        let mut out = Vec::new();
+        while r.fill(&mut out, batch)? == batch {}
+        Ok(out)
+    }
+
+    /// Decodes through the per-record iterator.
+    fn decode_iter(bytes: &[u8]) -> Result<Vec<DynInst>, TraceError> {
+        TraceReader::new(bytes)?.collect()
+    }
+
+    fn validate_only(bytes: &[u8]) -> Result<(), TraceError> {
+        TraceReader::new(bytes)?.validate()
+    }
+
+    /// Runs every reader mode over `bytes`, asserts they agree on
+    /// accept/reject (and on the stream, when accepted), and returns the
+    /// shared verdict.
+    fn agreed_verdict(bytes: &[u8], what: &str) -> bool {
+        let whole = decode_batched(bytes, usize::MAX);
+        let batched = decode_batched(bytes, 3);
+        let iter = decode_iter(bytes);
+        let valid = validate_only(bytes);
+        let verdicts = [whole.is_ok(), batched.is_ok(), iter.is_ok(), valid.is_ok()];
+        assert!(
+            verdicts.iter().all(|&v| v == verdicts[0]),
+            "{what}: modes disagree (decode, batch-3, iterator, validate-only) = {verdicts:?}"
+        );
+        if let (Ok(a), Ok(b), Ok(c)) = (&whole, &batched, &iter) {
+            assert!(a == b && a == c, "{what}: modes decoded different streams");
+        }
+        verdicts[0]
+    }
+
+    /// Rewrites the last four bytes as the CRC of everything between the
+    /// magic and them, so a mutated entry reaches the structural checks
+    /// instead of failing on the CRC alone.
+    fn resealed(bytes: &[u8]) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        if out.len() >= MAGIC.len() + 4 {
+            let body = out.len() - 4;
+            let crc = crc32(&out[MAGIC.len()..body]);
+            out[body..].copy_from_slice(&crc.to_le_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn validate_only_and_decoding_accept_the_same_inputs() {
+        let t = standard_traces()[0].capture(50);
+        let buf = encode(&t);
+        assert!(agreed_verdict(&buf, "intact entry"));
+        // Every single-byte flip and every truncation is rejected by every
+        // mode (agreeing with the two detection tests above). Resealed
+        // with a matching CRC they exercise the record grammar itself:
+        // the modes must still agree, and the grammar must catch some.
+        let mut grammar_rejects = 0;
+        for pos in 0..buf.len() {
+            let mut bad = buf.clone();
+            bad[pos] ^= 0x41;
+            assert!(!agreed_verdict(&bad, &format!("flip at {pos}")), "flip at {pos} accepted");
+            if !agreed_verdict(&resealed(&bad), &format!("resealed flip at {pos}")) {
+                grammar_rejects += 1;
+            }
+        }
+        for cut in 0..buf.len() {
+            assert!(
+                !agreed_verdict(&buf[..cut], &format!("cut at {cut}")),
+                "cut at {cut} accepted"
+            );
+            let sealed = resealed(&buf[..cut]);
+            assert!(!agreed_verdict(&sealed, &format!("resealed cut at {cut}")));
+        }
+        assert!(grammar_rejects > 0, "no resealed flip reached a structural check");
+        // Seeded multi-byte mutations (overwrites, insertions, deletions),
+        // raw and resealed.
+        let mut rng = Rng(0x0bad_c0de);
+        for round in 0..3000 {
+            let mut bad = buf.clone();
+            for _ in 0..1 + rng.below(4) {
+                let pos = rng.below(bad.len());
+                match rng.below(3) {
+                    0 => bad[pos] = rng.next() as u8,
+                    1 => bad.insert(pos, rng.next() as u8),
+                    _ => {
+                        bad.remove(pos);
+                    }
+                }
+            }
+            agreed_verdict(&bad, &format!("mutation round {round}"));
+            agreed_verdict(&resealed(&bad), &format!("resealed mutation round {round}"));
+        }
+    }
+
+    /// Hands out a byte slice in reads of rotating, mostly odd sizes.
+    struct Dribble<'a> {
+        bytes: &'a [u8],
+        sizes: &'a [usize],
+        turn: usize,
+    }
+
+    impl Read for Dribble<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.sizes[self.turn % self.sizes.len()].min(out.len()).min(self.bytes.len());
+            self.turn += 1;
+            out[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn decoding_spans_block_boundaries_and_short_reads() {
+        // Several 64 KiB blocks, so records straddle block boundaries.
+        let t = standard_traces()[4].capture(120_000);
+        let buf = encode(&t);
+        assert!(buf.len() > 3 * BLOCK);
+        for sizes in [&[BLOCK][..], &[1, 7, 33, 4093], &[65_521, 3, 1000]] {
+            let dribble = |bytes| Dribble { bytes, sizes, turn: 0 };
+            let mut r = TraceReader::new(dribble(&buf)).unwrap();
+            let mut got = Vec::new();
+            while r.fill(&mut got, 4099).unwrap() == 4099 {}
+            assert_eq!(got, t.insts(), "read sizes {sizes:?}");
+            TraceReader::new(dribble(&buf)).unwrap().validate().unwrap();
+            // A flip and a cut deep past the first block are still caught
+            // by both modes.
+            let mut bad = buf.clone();
+            bad[2 * BLOCK + 5] ^= 0x10;
+            for broken in [&bad[..], &buf[..2 * BLOCK + 17]] {
+                assert!(TraceReader::new(dribble(broken)).unwrap().validate().is_err());
+                let mut r = TraceReader::new(dribble(broken)).unwrap();
+                assert!(r.fill(&mut Vec::new(), usize::MAX).is_err());
+            }
         }
     }
 

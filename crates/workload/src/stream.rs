@@ -11,6 +11,11 @@
 //! ([`crate::codec::TraceReader`]) into an `InstSource`, so a trace on
 //! disk replays without ever being materialized. [`IterSource`] adapts
 //! any in-memory iterator (tests, generators).
+//!
+//! The cursor refills its window through [`InstSource::fill`], one call
+//! per refill: `TraceStream` decodes the whole batch straight into the
+//! window and [`ChannelSource`] copies whole chunk slices, so a refill
+//! costs no per-instruction dynamic call or `Option`.
 
 use crate::codec::{TraceError, TraceReader};
 use crate::exec::{DynInst, ExecStats};
@@ -34,23 +39,42 @@ pub trait InstSource {
     /// The next committed instruction, or `None` at end of stream.
     fn next_inst(&mut self) -> Option<DynInst>;
 
+    /// Appends up to `max` further instructions to `out` and returns how
+    /// many it appended; fewer than `max` means the stream has ended.
+    /// Sources that can produce instructions in bulk override this; the
+    /// default pulls them one at a time through
+    /// [`InstSource::next_inst`].
+    fn fill(&mut self, out: &mut Vec<DynInst>, max: usize) -> usize {
+        for n in 0..max {
+            match self.next_inst() {
+                Some(d) => out.push(d),
+                None => return n,
+            }
+        }
+        max
+    }
+
     /// Diagnostic name of the stream (trace name where known).
     fn source_name(&self) -> &str {
         "<stream>"
     }
 }
 
-/// Streams a serialized `XBT1` trace as an [`InstSource`], decoding one
-/// record at a time — O(1) memory however long the trace is.
+/// Streams a serialized `XBT1` trace as an [`InstSource`], decoding
+/// through the reader's 64 KiB block buffer — O(block) memory however
+/// long the trace is. The reader buffers its input itself, so `R` can be
+/// a bare `File`.
 ///
 /// # Panics
 ///
-/// `next_inst` panics on mid-stream corruption (I/O error, CRC
+/// `next_inst` and `fill` panic on mid-stream corruption (I/O error, CRC
 /// mismatch, truncation). A replay that has already delivered uops from
 /// a stream that turns out to be corrupt cannot produce a correct
 /// result, so there is nothing graceful left to do; callers that need
-/// corruption to degrade to a miss (the store) validate the whole file
-/// with a cheap streaming pre-pass first (`Store::open_trace_stream`).
+/// corruption to degrade to a miss (the store) first run a validate-only
+/// scan of the whole file ([`TraceReader::validate`], as
+/// `Store::open_trace_stream` does) and then replay that same file
+/// handle.
 ///
 /// # Examples
 ///
@@ -96,7 +120,16 @@ impl<R: Read> TraceStream<R> {
     }
 }
 
-impl<R: Read> crate::stream::InstSource for TraceStream<R> {
+impl<R: Read> TraceStream<R> {
+    fn fail(&self, yielded: u64, e: TraceError) -> ! {
+        panic!(
+            "streaming replay of {:?} failed after {yielded} instructions: {e}",
+            self.reader.name()
+        )
+    }
+}
+
+impl<R: Read> InstSource for TraceStream<R> {
     fn next_inst(&mut self) -> Option<DynInst> {
         match self.reader.next() {
             None => None,
@@ -104,11 +137,18 @@ impl<R: Read> crate::stream::InstSource for TraceStream<R> {
                 self.yielded += 1;
                 Some(d)
             }
-            Some(Err(e)) => panic!(
-                "streaming replay of {:?} failed after {} instructions: {e}",
-                self.reader.name(),
-                self.yielded
-            ),
+            Some(Err(e)) => self.fail(self.yielded, e),
+        }
+    }
+
+    fn fill(&mut self, out: &mut Vec<DynInst>, max: usize) -> usize {
+        let before = out.len();
+        match self.reader.fill(out, max) {
+            Ok(n) => {
+                self.yielded += n as u64;
+                n
+            }
+            Err(e) => self.fail(self.yielded + (out.len() - before) as u64, e),
         }
     }
 
@@ -126,7 +166,7 @@ impl<R: Read> crate::stream::InstSource for TraceStream<R> {
 ///
 /// # Panics
 ///
-/// `next_inst` panics if the channel disconnects before `expected`
+/// `next_inst` and `fill` panic if the channel disconnects before `expected`
 /// instructions have been yielded — the producer died mid-capture, and a
 /// replay that has already consumed part of the stream cannot recover
 /// (same contract as [`TraceStream`] on mid-stream corruption).
@@ -164,10 +204,13 @@ impl ChannelSource {
     }
 }
 
-impl InstSource for ChannelSource {
-    fn next_inst(&mut self) -> Option<DynInst> {
+impl ChannelSource {
+    /// Makes sure the current chunk has an unread instruction, receiving
+    /// the next chunk if needed; `false` once all `expected` instructions
+    /// have been yielded.
+    fn ready(&mut self) -> bool {
         if self.yielded == self.expected {
-            return None;
+            return false;
         }
         while self.pos == self.chunk.len() {
             match self.rx.recv() {
@@ -181,10 +224,32 @@ impl InstSource for ChannelSource {
                 ),
             }
         }
+        true
+    }
+}
+
+impl InstSource for ChannelSource {
+    fn next_inst(&mut self) -> Option<DynInst> {
+        if !self.ready() {
+            return None;
+        }
         let d = self.chunk[self.pos];
         self.pos += 1;
         self.yielded += 1;
         Some(d)
+    }
+
+    fn fill(&mut self, out: &mut Vec<DynInst>, max: usize) -> usize {
+        let mut n = 0;
+        while n < max && self.ready() {
+            let left = (self.expected - self.yielded).min((max - n) as u64) as usize;
+            let take = (self.chunk.len() - self.pos).min(left);
+            out.extend_from_slice(&self.chunk[self.pos..self.pos + take]);
+            self.pos += take;
+            self.yielded += take as u64;
+            n += take;
+        }
+        n
     }
 
     fn source_name(&self) -> &str {
