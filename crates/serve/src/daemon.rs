@@ -3,14 +3,15 @@
 //! One process holds the content-addressed [`Store`] and a fixed worker
 //! pool; clients connect over a Unix-domain or TCP socket (see
 //! [`Endpoint`]), submit sweep grids, and stream rows back as cells
-//! complete. The scheduling model is the same cell model as
-//! `xbc_sim::Sweep`: the unit of work is one (trace × frontend) cell,
-//! cells from *all* concurrent requests drain through one shared
-//! [`Scheduler`] (priority classes, round-robin across clients within a
-//! class), each request's rows are reassembled in deterministic
-//! trace-major order, and `elapsed_ms` is apportioned with the same
-//! [`capture_share`] arithmetic — so a daemon-simulated row is
-//! indistinguishable from a `Sweep`-simulated one.
+//! complete. A request runs through the same [`CellExecutor`] as
+//! `xbc_sim::Sweep` — the same result-cache probe, plan, trace
+//! acquisition, replay and per-cell [`CellCost`] — so a
+//! daemon-simulated row is indistinguishable from a `Sweep`-simulated
+//! one, and the `done` trailer's bench is the same fold over cell costs.
+//! Only the scheduling differs: cells from *all* concurrent requests
+//! drain through one shared [`Scheduler`] (priority classes,
+//! round-robin across clients within a class), and each request's rows
+//! are reassembled in deterministic trace-major order.
 //!
 //! **Single-flight dedup.** Concurrent requests overlapping on a cell
 //! simulate it once: cells are keyed by the same content hash as the
@@ -23,21 +24,8 @@
 //! Shared rows are counted as `deduped_cells`, keeping the accounting
 //! identity: summed over concurrent clients, `simulated_cells` equals
 //! the number of *distinct* cold cells. Trace capture dedups the same
-//! way through [`Store::get_or_capture_shared`].
-//!
-//! Replay is streaming-first: a cell whose trace is already stored
-//! replays through [`Store::open_trace_stream`] and
-//! `Frontend::run_streamed`, keeping worker memory O(window). The first
-//! cell of a not-yet-captured trace *overlaps* capture with its own
-//! simulation: the leader of [`Store::stream_capture_shared`] replays
-//! the committed-instruction stream live off a bounded channel while a
-//! capture thread encodes the same chunks to the store, so the cell's
-//! capture cost hides behind its simulation (reported as
-//! `overlapped_cells` / `overlap_ms` in the `done` trailer). With
-//! streaming capture off (or no store) the first cell captures resident
-//! (once, shared behind the store's capture flight — or the job's
-//! `OnceLock` when the daemon runs uncached) — either way the trace
-//! lands on disk, so later cells of the same trace stream it.
+//! way inside the executor, through [`Store::stream_capture_shared`]'s
+//! flight, so summed `captures` equal the distinct cold traces.
 //!
 //! **Shutdown drains.** A `shutdown` request flips the scheduler into
 //! drain mode: new sweeps are refused, but every already-registered
@@ -52,13 +40,11 @@ use crate::scheduler::{CellTicket, Scheduler};
 use crate::transport::{self, Conn, Endpoint, Listener};
 use std::io::{BufRead, BufReader, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use xbc_sim::{
-    capture_share, resolve_threads, result_key, rows_from_json, FrontendSpec, Row, SweepBench,
-};
-use xbc_store::{CaptureOutcome, Flight, SingleFlight, Store, StreamCapture};
-use xbc_workload::{standard_traces, Trace, TraceSpec};
+use xbc_sim::{plan, resolve_threads, Cell, CellCost, CellExecutor, Row, SweepBench};
+use xbc_store::{Flight, SingleFlight, Store};
+use xbc_workload::{standard_traces, TraceSpec};
 
 #[cfg(feature = "check")]
 use crate::faults::{FaultInjector, RowFault};
@@ -91,10 +77,6 @@ pub struct ServeConfig {
     /// Per-connection send timeout, bounding how long a stalled client
     /// can pin a connection thread mid-row (`None` = block forever).
     pub write_timeout: Option<Duration>,
-    /// Overlap cold-trace capture with the leading cell's simulation
-    /// via [`Store::stream_capture_shared`] (default on; no effect
-    /// without a store).
-    pub stream_capture: bool,
     /// Fault-injection triggers for this daemon (tests only; the hooks
     /// compile only under the `check` feature).
     #[cfg(feature = "check")]
@@ -113,31 +95,10 @@ impl ServeConfig {
             max_connections: 64,
             idle_timeout: None,
             write_timeout: None,
-            stream_capture: true,
             #[cfg(feature = "check")]
             faults: None,
         }
     }
-}
-
-/// One (trace, frontend) cell of a request, with its rank among the
-/// trace's missing cells (for the deterministic capture-cost share).
-struct Cell {
-    trace: usize,
-    fe: usize,
-    rank: usize,
-    missing: usize,
-}
-
-/// How a job resolved a cold trace, shared by the trace's cells.
-enum TraceHandle {
-    /// Captured resident (uncached daemon, streaming off, or an
-    /// eviction race), with its capture wall time — later cells of the
-    /// trace simulate from memory and take a `capture_share`.
-    Resident(Arc<Trace>, u64),
-    /// The trace landed on disk (overlapped streamed capture, or
-    /// another request's flight) — later cells of the trace stream it.
-    OnDisk,
 }
 
 /// One submitted sweep: the grid, its pending cells, and the slots its
@@ -148,14 +109,9 @@ struct Job {
     /// sole source of worker deaths is the fault injector).
     #[cfg_attr(not(feature = "check"), allow(dead_code))]
     priority: u32,
-    traces: Vec<TraceSpec>,
-    frontends: Vec<FrontendSpec>,
-    insts: usize,
+    /// The request's grid and its per-trace slots.
+    exec: CellExecutor,
     cells: Vec<Cell>,
-    /// Per-trace cold-path resolution, shared by the trace's cells
-    /// within this job. (With a store, the store's capture and
-    /// streamed-capture flights share across jobs too.)
-    shared_traces: Vec<OnceLock<TraceHandle>>,
     /// The full grid; workers fill cells, the connection thread takes
     /// them in trace-major order as the filled prefix grows.
     rows: Mutex<Vec<Option<Row>>>,
@@ -163,18 +119,10 @@ struct Job {
     /// Set when the job cannot finish (worker died twice in a cell);
     /// the connection thread reports it as an `error` line.
     failed: Mutex<Option<String>>,
-    captures: AtomicU64,
-    capture_ms: AtomicU64,
-    sim_ms: AtomicU64,
-    /// Cells replayed via the streaming path (O(window) memory).
-    streamed_cells: AtomicU64,
-    /// Cells resolved by sharing another request's in-flight simulation
-    /// or a late result-cache hit.
-    deduped_cells: AtomicU64,
-    /// Cold cells whose capture ran overlapped with their own replay.
-    overlapped_cells: AtomicU64,
-    /// Capture milliseconds hidden behind simulation on those cells.
-    overlap_ms: AtomicU64,
+    /// One cost per cell this request simulated; every other planned
+    /// cell was deduped (shared from another request's flight or a late
+    /// result-cache hit).
+    costs: Mutex<Vec<CellCost>>,
 }
 
 impl Job {
@@ -203,7 +151,6 @@ struct Shared {
     progress: bool,
     max_connections: usize,
     idle_timeout: Option<Duration>,
-    stream_capture: bool,
     sched: Scheduler<Arc<Job>>,
     /// Daemon-wide in-flight table keyed by `result_key` content hash:
     /// the single-flight dedup for concurrently requested cells.
@@ -215,199 +162,24 @@ struct Shared {
     faults: Option<Arc<FaultInjector>>,
 }
 
-/// How a finished cell's row was obtained, for the job's accounting.
-enum CellSource {
-    Simulated,
-    Deduped,
-}
-
-/// Fills a finished cell's slot and wakes the connection thread.
-fn deliver(shared: &Shared, job: &Job, ci: usize, row: Row, source: CellSource) {
-    if let CellSource::Deduped = source {
-        job.deduped_cells.fetch_add(1, Ordering::Relaxed);
-        shared.sched.note_deduped(1);
+/// Fills a finished cell's slot and wakes the connection thread. `cost`
+/// is `None` for a deduped cell.
+fn deliver(shared: &Shared, job: &Job, ci: usize, row: Row, cost: Option<CellCost>) {
+    match cost {
+        Some(cost) => job.costs.lock().expect("job costs lock").push(cost),
+        None => shared.sched.note_deduped(1),
     }
-    let cell = &job.cells[ci];
     let mut rows = job.rows.lock().expect("job rows lock");
-    rows[cell.trace * job.frontends.len() + cell.fe] = Some(row);
+    rows[job.cells[ci].index(job.exec.frontends().len())] = Some(row);
     drop(rows);
     job.row_cv.notify_all();
-}
-
-/// Simulates one cell: streaming replay when the trace is already
-/// stored, otherwise the shared resident capture — mirroring `Sweep`'s
-/// phase 3 exactly (same `result_key`, same `capture_share` arithmetic,
-/// same result-cache write), so served rows match swept rows.
-fn simulate_cell(shared: &Shared, job: &Job, ci: usize) -> Row {
-    let cell = &job.cells[ci];
-    let spec = &job.traces[cell.trace];
-    let fespec = &job.frontends[cell.fe];
-    let mut frontend = fespec.instantiate();
-    let streamed = shared.store.as_ref().and_then(|store| {
-        let open0 = Instant::now();
-        let stream = store.open_trace_stream(spec, job.insts)?;
-        Some((stream, open0.elapsed().as_millis() as u64))
-    });
-    match streamed {
-        Some((mut stream, open_ms)) => {
-            let sim0 = Instant::now();
-            let m = frontend.run_streamed(&mut stream);
-            let sim_ms = sim0.elapsed().as_millis() as u64;
-            job.capture_ms.fetch_add(open_ms, Ordering::Relaxed);
-            job.sim_ms.fetch_add(sim_ms, Ordering::Relaxed);
-            job.streamed_cells.fetch_add(1, Ordering::Relaxed);
-            let mut row = Row::new(spec.name, &spec.suite.to_string(), *fespec, job.insts, &m);
-            // The stream open+validation is this cell's own trace cost
-            // (streamed cells share nothing), analogous to a capture
-            // share of 1.
-            row.elapsed_ms = open_ms + sim_ms;
-            row
-        }
-        None => {
-            // Cold trace. The first cell to arrive resolves it for the
-            // job: with streaming capture it leads an overlapped
-            // capture+replay (simulating live off the capture channel,
-            // smuggling its finished row out through `leader_row`);
-            // otherwise it captures resident. Later cells of the trace
-            // see the resolution through the `OnceLock`.
-            let mut leader_row: Option<Row> = None;
-            let handle = job.shared_traces[cell.trace].get_or_init(|| {
-                if shared.stream_capture {
-                    if let Some(store) = &shared.store {
-                        match store.stream_capture_shared(spec, job.insts) {
-                            StreamCapture::Leader(mut cap) => {
-                                let t0 = Instant::now();
-                                let mut src = cap.take_source();
-                                let m = frontend.run_streamed(&mut src);
-                                let cap_ms = cap.finish();
-                                let wall = t0.elapsed().as_millis() as u64;
-                                job.captures.fetch_add(1, Ordering::Relaxed);
-                                job.capture_ms.fetch_add(cap_ms, Ordering::Relaxed);
-                                // Attribute `cap_ms` of the cell's wall
-                                // to capture and the rest to simulation
-                                // — the two sum to the wall time, no
-                                // double-counting.
-                                job.sim_ms
-                                    .fetch_add(wall.saturating_sub(cap_ms), Ordering::Relaxed);
-                                job.overlap_ms.fetch_add(cap_ms.min(wall), Ordering::Relaxed);
-                                job.overlapped_cells.fetch_add(1, Ordering::Relaxed);
-                                job.streamed_cells.fetch_add(1, Ordering::Relaxed);
-                                let mut row = Row::new(
-                                    spec.name,
-                                    &spec.suite.to_string(),
-                                    *fespec,
-                                    job.insts,
-                                    &m,
-                                );
-                                row.elapsed_ms = wall;
-                                leader_row = Some(row);
-                                return TraceHandle::OnDisk;
-                            }
-                            // Raced onto disk, or joined another
-                            // request's streamed capture — either way
-                            // the trace is (about to be) stored and
-                            // that flight's leader counted the capture.
-                            StreamCapture::CacheHit | StreamCapture::Joined => {
-                                return TraceHandle::OnDisk;
-                            }
-                        }
-                    }
-                }
-                let c0 = Instant::now();
-                let t = match &shared.store {
-                    Some(store) => {
-                        let (t, outcome) = store.get_or_capture_shared(spec, job.insts);
-                        // A joiner shared another request's capture;
-                        // only the side that did the work (or the
-                        // store load) counts it.
-                        if !matches!(outcome, CaptureOutcome::Joined) {
-                            job.captures.fetch_add(1, Ordering::Relaxed);
-                        }
-                        t
-                    }
-                    None => {
-                        job.captures.fetch_add(1, Ordering::Relaxed);
-                        Arc::new(spec.capture(job.insts))
-                    }
-                };
-                let ms = c0.elapsed().as_millis() as u64;
-                job.capture_ms.fetch_add(ms, Ordering::Relaxed);
-                TraceHandle::Resident(t, ms)
-            });
-            if let Some(row) = leader_row {
-                return row;
-            }
-            match handle {
-                TraceHandle::Resident(trace, cap_ms) => {
-                    let sim0 = Instant::now();
-                    let m = frontend.run(trace);
-                    let sim_ms = sim0.elapsed().as_millis() as u64;
-                    job.sim_ms.fetch_add(sim_ms, Ordering::Relaxed);
-                    let mut row =
-                        Row::new(spec.name, &spec.suite.to_string(), *fespec, job.insts, &m);
-                    row.elapsed_ms = capture_share(*cap_ms, cell.missing, cell.rank) + sim_ms;
-                    row
-                }
-                TraceHandle::OnDisk => {
-                    let store = shared.store.as_ref().expect("OnDisk handle implies a store");
-                    let open0 = Instant::now();
-                    match store.open_trace_stream(spec, job.insts) {
-                        Some(mut stream) => {
-                            let open_ms = open0.elapsed().as_millis() as u64;
-                            let sim0 = Instant::now();
-                            let m = frontend.run_streamed(&mut stream);
-                            let sim_ms = sim0.elapsed().as_millis() as u64;
-                            job.capture_ms.fetch_add(open_ms, Ordering::Relaxed);
-                            job.sim_ms.fetch_add(sim_ms, Ordering::Relaxed);
-                            job.streamed_cells.fetch_add(1, Ordering::Relaxed);
-                            let mut row = Row::new(
-                                spec.name,
-                                &spec.suite.to_string(),
-                                *fespec,
-                                job.insts,
-                                &m,
-                            );
-                            row.elapsed_ms = open_ms + sim_ms;
-                            row
-                        }
-                        None => {
-                            // The entry was evicted between the leader
-                            // landing it and this cell streaming it —
-                            // fall back to the shared resident capture.
-                            let c0 = Instant::now();
-                            let (trace, outcome) = store.get_or_capture_shared(spec, job.insts);
-                            if !matches!(outcome, CaptureOutcome::Joined) {
-                                job.captures.fetch_add(1, Ordering::Relaxed);
-                            }
-                            let cap_ms = c0.elapsed().as_millis() as u64;
-                            job.capture_ms.fetch_add(cap_ms, Ordering::Relaxed);
-                            let sim0 = Instant::now();
-                            let m = frontend.run(&trace);
-                            let sim_ms = sim0.elapsed().as_millis() as u64;
-                            job.sim_ms.fetch_add(sim_ms, Ordering::Relaxed);
-                            let mut row = Row::new(
-                                spec.name,
-                                &spec.suite.to_string(),
-                                *fespec,
-                                job.insts,
-                                &m,
-                            );
-                            row.elapsed_ms =
-                                capture_share(cap_ms, cell.missing, cell.rank) + sim_ms;
-                            row
-                        }
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// Resolves one dispatched cell through the single-flight table: lead
 /// the simulation, or share a concurrent leader's row.
 fn run_cell(shared: &Shared, job: &Job, ci: usize) {
     let cell = &job.cells[ci];
-    let key = result_key(&job.traces[cell.trace], &job.frontends[cell.fe], job.insts);
+    let key = job.exec.key(cell);
     loop {
         match shared.cell_flights.join(&key) {
             Flight::Leader(lead) => {
@@ -416,28 +188,18 @@ fn run_cell(shared: &Shared, job: &Job, ci: usize) {
                 // our cache probe. Re-simulating would overwrite the
                 // stored row with a different `elapsed_ms` and break
                 // byte-identical replay.
-                if let Some(store) = &shared.store {
-                    if let Some(body) = store.load_result(&key) {
-                        if let Ok(parsed) = rows_from_json(&body) {
-                            if parsed.len() == 1 {
-                                let row = parsed.into_iter().next().expect("one row");
-                                lead.complete(row.clone());
-                                deliver(shared, job, ci, row, CellSource::Deduped);
-                                return;
-                            }
-                        }
-                    }
+                if let Some(row) = job.exec.cached_row(&key) {
+                    lead.complete(row.clone());
+                    deliver(shared, job, ci, row, None);
+                    return;
                 }
-                let row = simulate_cell(shared, job, ci);
-                if let Some(store) = &shared.store {
-                    store.store_result(&key, &xbc_sim::to_json(std::slice::from_ref(&row)));
-                }
+                let (row, cost) = job.exec.execute(cell, None);
                 lead.complete(row.clone());
-                deliver(shared, job, ci, row, CellSource::Simulated);
+                deliver(shared, job, ci, row, Some(cost));
                 return;
             }
             Flight::Shared(row) => {
-                deliver(shared, job, ci, row, CellSource::Deduped);
+                deliver(shared, job, ci, row, None);
                 return;
             }
             // The leader died without publishing (injected worker
@@ -502,7 +264,8 @@ fn stream_rows(
         Row(Row),
         Failed(String),
     }
-    let n_cells = job.traces.len() * job.frontends.len();
+    let n_fe = job.exec.frontends().len();
+    let n_cells = job.exec.traces().len() * n_fe;
     for idx in 0..n_cells {
         let got = {
             let mut slots = job.rows.lock().expect("job rows lock");
@@ -546,28 +309,26 @@ fn stream_rows(
         send_line(out, &protocol::row_line(idx, &row))?;
     }
 
-    let deduped = job.deduped_cells.load(Ordering::Relaxed) as usize;
+    // Every row has been sent, so every planned cell was delivered:
+    // simulated (one cost each) or deduped.
+    let costs = job.costs.lock().expect("job costs lock");
     let bench = SweepBench {
         threads: shared.threads,
-        traces: job.traces.len(),
-        frontends: job.frontends.len(),
+        traces: job.exec.traces().len(),
+        frontends: n_fe,
         total_cells: n_cells,
         cached_cells,
         // The dedup identity: over concurrent clients, simulated_cells
         // sums to the number of distinct cold cells.
-        simulated_cells: job.cells.len() - deduped,
-        deduped_cells: deduped,
-        captures: job.captures.load(Ordering::Relaxed),
-        capture_ms: job.capture_ms.load(Ordering::Relaxed),
-        sim_ms: job.sim_ms.load(Ordering::Relaxed),
-        overlapped_cells: job.overlapped_cells.load(Ordering::Relaxed) as usize,
-        overlap_ms: job.overlap_ms.load(Ordering::Relaxed),
+        deduped_cells: job.cells.len() - costs.len(),
         wall_ms: wall0.elapsed().as_millis() as u64,
         // The pool is daemon-global, not per-request: per-worker stats
         // are not attributable to one request, so the trailer's worker
         // list is empty by design.
         workers: Vec::new(),
+        ..SweepBench::fold(&costs)
     };
+    drop(costs);
     let delta = stats0.map(|before| {
         protocol::stats_delta(
             &before,
@@ -578,14 +339,13 @@ fn stream_rows(
     send_line(out, &protocol::done_line(n_cells, &bench, delta.as_ref(), Some(&sched)))?;
     if shared.progress {
         eprintln!(
-            "[xbc-serve] client {}: {} cells ({} cached, {} simulated, {} deduped, {} streamed, \
+            "[xbc-serve] client {}: {} cells ({} cached, {} simulated, {} deduped, \
              {} overlapped) in {} ms (queue depth {})",
             job.client,
             n_cells,
             cached_cells,
             bench.simulated_cells,
-            deduped,
-            job.streamed_cells.load(Ordering::Relaxed),
+            bench.deduped_cells,
             bench.overlapped_cells,
             bench.wall_ms,
             sched.queue_depth,
@@ -623,69 +383,22 @@ fn handle_sweep(
         );
     }
     let stats0 = shared.store.as_ref().map(|s| s.stats());
-    let n_fe = req.frontends.len();
-    let n_cells = specs.len() * n_fe;
-    let mut rows: Vec<Option<Row>> = vec![None; n_cells];
-
-    // Probe the result cache — same sequential pass, same eviction of
-    // undecodable entries, as `Sweep::run_with_bench` phase 1.
-    if let Some(store) = &shared.store {
-        for (ti, spec) in specs.iter().enumerate() {
-            for (fi, fe) in req.frontends.iter().enumerate() {
-                let key = result_key(spec, fe, req.insts);
-                let Some(body) = store.load_result(&key) else { continue };
-                match rows_from_json(&body) {
-                    Ok(parsed) if parsed.len() == 1 => {
-                        rows[ti * n_fe + fi] = parsed.into_iter().next();
-                    }
-                    Ok(parsed) => {
-                        store.evict_result(
-                            &key,
-                            &format!("expected 1 cached row, found {}", parsed.len()),
-                        );
-                    }
-                    Err(e) => {
-                        store.evict_result(&key, &format!("undecodable cached row: {e}"));
-                    }
-                }
-            }
-        }
-    }
-
-    // Plan the missing cells trace-major (phase 2: deterministic ranks).
-    let mut cells: Vec<Cell> = Vec::new();
-    for ti in 0..specs.len() {
-        let start = cells.len();
-        for fi in 0..n_fe {
-            if rows[ti * n_fe + fi].is_none() {
-                cells.push(Cell { trace: ti, fe: fi, rank: cells.len() - start, missing: 0 });
-            }
-        }
-        let missing = cells.len() - start;
-        for c in &mut cells[start..] {
-            c.missing = missing;
-        }
-    }
-    let cached_cells = n_cells - cells.len();
+    // Probe the result cache and plan the missing cells, exactly as
+    // `Sweep::run_with_bench` does.
+    let exec = CellExecutor::new(specs, req.frontends, req.insts, shared.store.clone());
+    let rows = exec.probe();
+    let cells = plan(&rows, exec.frontends().len());
+    let cached_cells = rows.len() - cells.len();
 
     let job = Arc::new(Job {
         client,
         priority: req.priority,
-        shared_traces: (0..specs.len()).map(|_| OnceLock::new()).collect(),
-        traces: specs,
-        frontends: req.frontends,
-        insts: req.insts,
+        exec,
         cells,
         rows: Mutex::new(rows),
         row_cv: Condvar::new(),
         failed: Mutex::new(None),
-        captures: AtomicU64::new(0),
-        capture_ms: AtomicU64::new(0),
-        sim_ms: AtomicU64::new(0),
-        streamed_cells: AtomicU64::new(0),
-        deduped_cells: AtomicU64::new(0),
-        overlapped_cells: AtomicU64::new(0),
-        overlap_ms: AtomicU64::new(0),
+        costs: Mutex::new(Vec::new()),
     });
     if !job.cells.is_empty() {
         if let Err(refused) =
@@ -814,7 +527,6 @@ impl Server {
             progress: config.progress,
             max_connections: config.max_connections.max(1),
             idle_timeout: config.idle_timeout,
-            stream_capture: config.stream_capture,
             sched: Scheduler::new(),
             cell_flights: SingleFlight::new(),
             shutdown: AtomicBool::new(false),

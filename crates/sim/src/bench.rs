@@ -7,6 +7,12 @@
 //! (via [`SweepBench::to_json`]) to a `BENCH_sweep.json` artifact, so
 //! simulator throughput is tracked as machine-readable data rather than
 //! a terminal anecdote.
+//!
+//! The capture/simulation fields are never counted on the side: every
+//! simulated cell reports one [`CellCost`], and [`SweepBench::fold`]
+//! derives them from those costs — the way `Reconciler::fold` derives
+//! frontend metrics from events — so `Sweep` and the `xbc-serve` daemon
+//! cannot disagree about what they mean.
 
 use std::fmt;
 
@@ -19,6 +25,35 @@ pub struct WorkerStat {
     /// blocked waiting on another worker's shared capture counts as
     /// busy — the worker is serialized, not idle.
     pub busy_ms: u64,
+}
+
+/// What simulating one cell cost, as measured by
+/// [`CellExecutor::execute`](crate::CellExecutor::execute).
+///
+/// The cell's row reports `elapsed_ms() = capture_ms + sim_ms`, so
+/// summing rows reproduces a folded bench's `capture_ms + sim_ms`
+/// exactly.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CellCost {
+    /// Trace-acquisition milliseconds attributed to this cell: its
+    /// share of a shared resident capture, its stream open, or — on an
+    /// overlapped leader — the part of its wall time the capture ran.
+    pub capture_ms: u64,
+    /// Replay milliseconds.
+    pub sim_ms: u64,
+    /// This cell captured its trace (the resident capture's first cell,
+    /// or the leader of a streamed capture).
+    pub captured: bool,
+    /// The capture ran overlapped with this cell's own replay; all of
+    /// `capture_ms` was hidden behind simulation.
+    pub overlapped: bool,
+}
+
+impl CellCost {
+    /// The cell's wall-clock cost as its row reports it.
+    pub fn elapsed_ms(&self) -> u64 {
+        self.capture_ms + self.sim_ms
+    }
 }
 
 /// Performance accounting of one sweep run.
@@ -43,15 +78,17 @@ pub struct SweepBench {
     /// Always 0 for a one-shot `Sweep`; the `xbc-serve` daemon's
     /// cross-request single-flight dedup reports here.
     pub deduped_cells: usize,
-    /// Traces captured (or loaded from the trace store) this run.
+    /// Traces this run captured. A trace streamed from the store, or
+    /// whose capture another run or request led, is not counted.
     pub captures: u64,
-    /// Capture wall time, summed over captured traces.
+    /// Trace-acquisition wall time attributed to simulated cells:
+    /// capture time, including every stream open of a stored trace.
     pub capture_ms: u64,
     /// Simulation wall time, summed over simulated cells.
     pub sim_ms: u64,
     /// Cold cells whose capture ran overlapped with their own
     /// simulation (streamed capture feeding the replay live). Always 0
-    /// with `stream_capture` off or no store.
+    /// without a store.
     pub overlapped_cells: usize,
     /// Capture milliseconds hidden behind simulation on overlapped
     /// cells: for each such cell, the part of its capture that ran
@@ -67,6 +104,24 @@ pub struct SweepBench {
 }
 
 impl SweepBench {
+    /// Folds the costs of the simulated cells into the bench's
+    /// `simulated_cells`, `captures`, `capture_ms`, `sim_ms`,
+    /// `overlapped_cells` and `overlap_ms`; every other field is left at
+    /// its default for the caller to fill in.
+    pub fn fold(costs: &[CellCost]) -> SweepBench {
+        let mut bench = SweepBench { simulated_cells: costs.len(), ..SweepBench::default() };
+        for c in costs {
+            bench.captures += u64::from(c.captured);
+            bench.capture_ms += c.capture_ms;
+            bench.sim_ms += c.sim_ms;
+            if c.overlapped {
+                bench.overlapped_cells += 1;
+                bench.overlap_ms += c.capture_ms;
+            }
+        }
+        bench
+    }
+
     /// Simulated cells per second of wall time.
     pub fn cells_per_sec(&self) -> f64 {
         if self.wall_ms == 0 {

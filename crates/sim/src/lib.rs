@@ -8,8 +8,12 @@
 //!   configuration replays the identical committed path; scheduling is
 //!   cell-level, so a grid of N configurations over M traces keeps
 //!   `min(threads, N×M)` workers busy,
+//! * [`CellExecutor`] — the one implementation of a sweep cell (probe,
+//!   plan, trace acquisition, replay), shared by [`Sweep`] and the
+//!   `xbc-serve` daemon,
 //! * [`SweepBench`] — per-run scheduler accounting (wall time,
-//!   capture/sim split, worker utilization), emitted via `--bench-json`,
+//!   capture/sim split, worker utilization), folded from each cell's
+//!   [`CellCost`] and emitted via `--bench-json`,
 //! * [`Row`] / [`pivot_table`] / [`to_json`] — result collection and the
 //!   table rendering used by the figure-regeneration binaries,
 //! * [`HarnessArgs`] — the common CLI of those binaries.
@@ -37,20 +41,21 @@
 
 mod bench;
 mod cli;
+mod exec;
 mod inspect;
 mod report;
 mod spec;
 mod sweep;
 
-pub use bench::{SweepBench, WorkerStat};
+pub use bench::{CellCost, SweepBench, WorkerStat};
 pub use cli::HarnessArgs;
+pub use exec::{plan, Cell, CellExecutor};
 pub use inspect::render_inspect;
 pub use report::{average_bandwidth, average_miss_rate, pivot_table, rows_from_json, to_json, Row};
 pub use spec::FrontendSpec;
 pub use sweep::{
-    capture_share, map_traces_parallel, resolve_threads, result_key, run_checked,
-    run_checked_oracle, run_checked_streamed, run_checked_traced, sweep_custom, CustomRow, Sweep,
-    CODE_VERSION,
+    map_traces_parallel, resolve_threads, result_key, run_checked, run_checked_oracle,
+    run_checked_streamed, run_checked_traced, sweep_custom, CustomRow, Sweep, CODE_VERSION,
 };
 /// The in-tree JSON parser (now hosted by `xbc-obs`; re-exported here
 /// for the sim-layer consumers that grew up with `xbc_sim::json`).

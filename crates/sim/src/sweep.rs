@@ -5,10 +5,9 @@
 //! `(trace, frontend)` cell pulled from a single shared queue, so a
 //! sweep of N configurations over M traces scales to `min(threads, N×M)`
 //! busy workers — not `min(threads, M)` as a trace-major scheduler
-//! would. Each trace is still captured exactly once per run: the first
-//! worker that needs it captures into an `Arc<Trace>` behind a per-trace
-//! [`OnceLock`]; workers that reach sibling cells in the meantime block
-//! on that lock and then share the capture. Row order stays
+//! would. The cells themselves run through the [`CellExecutor`] the
+//! `xbc-serve` daemon uses too, which captures each trace at most once
+//! per run and shares it among the trace's cells. Row order stays
 //! deterministic (trace-major, frontend-minor) regardless of threading.
 //!
 //! When a [`Store`] is attached ([`Sweep::with_store`]), the engine is
@@ -17,15 +16,16 @@
 //! A re-run with unchanged parameters performs zero captures and zero
 //! simulations — it is a pure replay of cached rows.
 
-use crate::bench::{SweepBench, WorkerStat};
-use crate::report::{rows_from_json, Row};
+use crate::bench::{CellCost, SweepBench, WorkerStat};
+use crate::exec::{plan, CellExecutor};
+use crate::report::Row;
 use crate::spec::FrontendSpec;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
-use xbc_frontend::{Frontend, FrontendMetrics, OracleStream, Reconciler};
+use xbc_frontend::{Frontend, FrontendMetrics, OracleStream};
 use xbc_obs::{jsonl, EventSink, NullSink, VecSink};
-use xbc_store::{CaptureOutcome, Store, StreamCapture};
+use xbc_store::Store;
 use xbc_workload::{InstSource, Trace, TraceSpec};
 
 /// Bumped whenever simulator semantics change, so stale cached results
@@ -91,40 +91,6 @@ where
     stats.into_inner().expect("workers joined")
 }
 
-/// The capture-cost share of the `rank`-th cell (0-based) among the
-/// `missing` cells whose shared capture cost `total_ms`: every cell
-/// gets the truncated average, and the first `total_ms % missing` cells
-/// get one extra millisecond, so the shares sum to exactly `total_ms`
-/// — no remainder is dropped. Public so other schedulers over the same
-/// cell model (the `xbc-serve` daemon) apportion capture cost the same
-/// way.
-pub fn capture_share(total_ms: u64, missing: usize, rank: usize) -> u64 {
-    debug_assert!(rank < missing, "share rank out of range");
-    total_ms / missing as u64 + u64::from((rank as u64) < total_ms % missing as u64)
-}
-
-/// One unit of scheduled work: a (trace, frontend) cell that missed the
-/// result cache, plus its rank among the trace's missing cells (used to
-/// apportion the shared capture cost deterministically).
-struct Cell {
-    trace: usize,
-    fe: usize,
-    rank: usize,
-    missing: usize,
-}
-
-/// How a sweep's workers obtain one trace's committed stream after the
-/// per-trace `OnceLock` leader resolved it.
-enum TraceHandle {
-    /// Materialized in memory (uncached sweeps, checked/traced runs, or
-    /// `stream_capture` off), with the leader's capture/load cost.
-    Resident(Arc<Trace>, u64),
-    /// On disk in the store — captured streamed (possibly overlapped
-    /// with the leader's own simulation) or already cached. Sibling
-    /// cells stream it from the store; nobody holds the whole trace.
-    OnDisk,
-}
-
 /// Sweep parameters.
 #[derive(Clone, Debug)]
 pub struct Sweep {
@@ -152,14 +118,6 @@ pub struct Sweep {
     /// byte-identical regardless of `threads`. Rows are unaffected:
     /// tracing observes, it never perturbs.
     pub trace_events: Option<String>,
-    /// Capture cold traces *streamed* into the store, overlapping the
-    /// capture with the leader cell's simulation (default on; only takes
-    /// effect with a store attached, on plain runs — checked and traced
-    /// runs need the resident trace). Off restores strict
-    /// capture-then-simulate, the A/B baseline for the overlap win. Rows
-    /// are identical either way — the committed stream is byte-identical
-    /// by construction.
-    pub stream_capture: bool,
 }
 
 impl Sweep {
@@ -182,7 +140,6 @@ impl Sweep {
             progress: true,
             check: false,
             trace_events: None,
-            stream_capture: true,
         }
     }
 
@@ -213,241 +170,73 @@ impl Sweep {
         let wall0 = Instant::now();
         let n_fe = self.frontends.len();
         let n_cells = self.traces.len() * n_fe;
-        let mut rows: Vec<Option<Row>> = vec![None; n_cells];
+        let exec = CellExecutor::new(
+            self.traces.clone(),
+            self.frontends.clone(),
+            self.insts,
+            self.store.clone(),
+        )
+        .checked(self.check);
 
-        // Phase 1: probe the result cache. Sequential on purpose — each
-        // probe is one small CRC-checked read, negligible next to a
-        // simulation, and a single pass gives a deterministic view of
-        // which cells miss before any work is scheduled. A traced sweep
-        // skips the probe: cached cells would leave holes in the event
-        // stream, so every cell is simulated (captures stay cached).
-        if let Some(store) = self.store.as_ref().filter(|_| self.trace_events.is_none()) {
+        // Phase 1: probe the result cache. A traced sweep skips it:
+        // cached cells would leave holes in the event stream, so every
+        // cell is simulated (traces stay cached).
+        let mut rows = if self.trace_events.is_none() { exec.probe() } else { vec![None; n_cells] };
+
+        // Phase 2: plan the missing cells.
+        let cells = plan(&rows, n_fe);
+        if self.progress {
             for (ti, spec) in self.traces.iter().enumerate() {
-                for (fi, fe) in self.frontends.iter().enumerate() {
-                    let key = result_key(spec, fe, self.insts);
-                    let Some(body) = store.load_result(&key) else { continue };
-                    match rows_from_json(&body) {
-                        Ok(parsed) if parsed.len() == 1 => {
-                            rows[ti * n_fe + fi] = parsed.into_iter().next();
-                        }
-                        Ok(parsed) => {
-                            // CRC-valid but not a single row (e.g. written
-                            // by an older schema): evict so the stale entry
-                            // stops costing a recompute on every run.
-                            store.evict_result(
-                                &key,
-                                &format!("expected 1 cached row, found {}", parsed.len()),
-                            );
-                        }
-                        Err(e) => {
-                            store.evict_result(&key, &format!("undecodable cached row: {e}"));
-                        }
-                    }
+                if !cells.iter().any(|c| c.trace == ti) {
+                    eprintln!("[sweep] {:<18} {n_fe} cached, 0 simulated", spec.name);
                 }
             }
         }
 
-        // Phase 2: plan the missing cells, trace-major, so each cell's
-        // rank among its trace's misses — and therefore its share of
-        // the capture cost — is deterministic.
-        let mut cells: Vec<Cell> = Vec::new();
-        let mut trace_missing = vec![0usize; self.traces.len()];
-        for (ti, tm) in trace_missing.iter_mut().enumerate() {
-            let start = cells.len();
-            for fi in 0..n_fe {
-                if rows[ti * n_fe + fi].is_none() {
-                    cells.push(Cell { trace: ti, fe: fi, rank: cells.len() - start, missing: 0 });
-                }
-            }
-            *tm = cells.len() - start;
-            for c in &mut cells[start..] {
-                c.missing = *tm;
-            }
-            if self.progress && *tm == 0 {
-                eprintln!("[sweep] {:<18} {n_fe} cached, 0 simulated", self.traces[ti].name);
-            }
-        }
-
-        // Phase 3: drain the cell queue. The first cell of a trace to
-        // run resolves its committed stream behind the trace's OnceLock:
-        // with streamed capture, a cold trace is captured to the store
-        // in the background *while the leader cell simulates it live*
-        // off a bounded channel; sibling cells then stream it from disk.
-        // Otherwise the leader captures (or loads) a resident trace that
-        // siblings share by Arc. Workers then simulate independently.
+        // Phase 3: drain the cell queue through the executor.
         let threads = resolve_threads(self.threads);
-        // Overlap needs the store (the capture's destination) and the
-        // plain replay loop — checked/traced runs replay resident.
-        let overlap_ok = self.stream_capture && !self.check && self.trace_events.is_none();
-        let shared: Vec<OnceLock<TraceHandle>> =
-            (0..self.traces.len()).map(|_| OnceLock::new()).collect();
-        let done_rows: Mutex<Vec<(usize, Row)>> = Mutex::new(Vec::new());
-        let event_sections: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
-        let remaining: Vec<AtomicUsize> =
-            trace_missing.iter().map(|&m| AtomicUsize::new(m)).collect();
-        let trace_sim_ms: Vec<AtomicU64> =
-            (0..self.traces.len()).map(|_| AtomicU64::new(0)).collect();
-        let captures = AtomicU64::new(0);
-        let capture_ms_total = AtomicU64::new(0);
-        let sim_ms_total = AtomicU64::new(0);
-        let overlap_ms_total = AtomicU64::new(0);
-        let overlapped_cells = AtomicU64::new(0);
+        // One slot per planned cell: its row, cost and event section.
+        type Done = (Row, CellCost, Option<String>);
+        let done: Mutex<Vec<Option<Done>>> = Mutex::new(vec![None; cells.len()]);
         let workers = parallel_cells(cells.len(), threads, |i| {
             let cell = &cells[i];
             let spec = &self.traces[cell.trace];
-            let fe = &self.frontends[cell.fe];
-            // The overlapped leader simulates its own cell *inside* the
-            // OnceLock closure (the channel exists only there); its
-            // result rides out through this slot.
-            let mut leader_sim: Option<(FrontendMetrics, u64, u64)> = None;
-            let handle = shared[cell.trace].get_or_init(|| {
-                if let Some(store) = self.store.as_ref().filter(|_| overlap_ok) {
-                    match store.stream_capture_shared(spec, self.insts) {
-                        StreamCapture::Leader(mut cap) => {
-                            // Cold cell: simulate the live stream while
-                            // the capture writes it to the store.
-                            let t0 = Instant::now();
-                            let mut src = cap.take_source();
-                            let mut frontend = fe.instantiate();
-                            let m = frontend.run_streamed(&mut src);
-                            let cap_ms = cap.finish();
-                            let wall = t0.elapsed().as_millis() as u64;
-                            captures.fetch_add(1, Ordering::Relaxed);
-                            capture_ms_total.fetch_add(cap_ms, Ordering::Relaxed);
-                            overlap_ms_total.fetch_add(cap_ms.min(wall), Ordering::Relaxed);
-                            overlapped_cells.fetch_add(1, Ordering::Relaxed);
-                            leader_sim = Some((m, wall, cap_ms));
-                            return TraceHandle::OnDisk;
-                        }
-                        // Entry already on disk (or a concurrent job
-                        // just captured it): every cell streams it, no
-                        // capture to account here.
-                        StreamCapture::CacheHit | StreamCapture::Joined => {
-                            return TraceHandle::OnDisk;
-                        }
-                    }
-                }
-                let c0 = Instant::now();
-                let t = match &self.store {
-                    Some(store) => store.get_or_capture(spec, self.insts),
-                    None => spec.capture(self.insts),
-                };
-                let ms = c0.elapsed().as_millis() as u64;
-                captures.fetch_add(1, Ordering::Relaxed);
-                capture_ms_total.fetch_add(ms, Ordering::Relaxed);
-                TraceHandle::Resident(Arc::new(t), ms)
+            let mut sink = self.trace_events.as_ref().map(|_| VecSink::new());
+            let (row, cost) = exec.execute(cell, sink.as_mut());
+            let section = sink.map(|sink| {
+                let mut section = String::new();
+                let label = self.frontends[cell.fe].label();
+                jsonl::write_section(&mut section, &label, spec.name, &sink.events);
+                section
             });
-            let (m, elapsed_ms, cap_ms, sim_ms) = match handle {
-                TraceHandle::Resident(trace, cap_ms) => {
-                    let trace = Arc::clone(trace);
-                    let sim0 = Instant::now();
-                    let mut frontend = fe.instantiate();
-                    let m = if self.trace_events.is_some() {
-                        let mut sink = VecSink::new();
-                        let m = if self.check {
-                            run_checked_traced(&mut *frontend, &trace, spec.name, &mut sink)
-                        } else {
-                            frontend.run_traced(&trace, &mut sink)
-                        };
-                        if self.check {
-                            let folded = Reconciler::fold(sink.events.iter());
-                            assert_eq!(
-                                folded,
-                                m,
-                                "[--check] {} on {}: event stream does not reconcile to metrics",
-                                fe.label(),
-                                spec.name
-                            );
-                        }
-                        let mut section = String::new();
-                        jsonl::write_section(&mut section, &fe.label(), spec.name, &sink.events);
-                        event_sections
-                            .lock()
-                            .expect("event section lock")
-                            .push((cell.trace * n_fe + cell.fe, section));
-                        m
-                    } else if self.check {
-                        run_checked(&mut *frontend, &trace, spec.name)
-                    } else {
-                        frontend.run(&trace)
-                    };
-                    let sim_ms = sim0.elapsed().as_millis() as u64;
-                    (m, capture_share(*cap_ms, cell.missing, cell.rank) + sim_ms, *cap_ms, sim_ms)
-                }
-                TraceHandle::OnDisk => {
-                    if let Some((m, wall, cap_ms)) = leader_sim.take() {
-                        // The overlapped leader: its cell's wall clock
-                        // covers capture and simulation together; the
-                        // capture share is `cap_ms` and the rest is sim,
-                        // so attributions sum to the measured wall with
-                        // no double-counting.
-                        (m, wall, cap_ms, wall.saturating_sub(cap_ms))
-                    } else {
-                        let store = self.store.as_ref().expect("on-disk handle implies a store");
-                        let open0 = Instant::now();
-                        match store.open_trace_stream(spec, self.insts) {
-                            Some(mut stream) => {
-                                let open_ms = open0.elapsed().as_millis() as u64;
-                                let sim0 = Instant::now();
-                                let mut frontend = fe.instantiate();
-                                let m = frontend.run_streamed(&mut stream);
-                                let sim_ms = sim0.elapsed().as_millis() as u64;
-                                (m, open_ms + sim_ms, 0, sim_ms)
-                            }
-                            None => {
-                                // Eviction race: the entry vanished
-                                // between the leader's capture and this
-                                // replay. Regenerate resident.
-                                let c0 = Instant::now();
-                                let (trace, outcome) =
-                                    store.get_or_capture_shared(spec, self.insts);
-                                let cap_ms = c0.elapsed().as_millis() as u64;
-                                if matches!(outcome, CaptureOutcome::Captured) {
-                                    captures.fetch_add(1, Ordering::Relaxed);
-                                    capture_ms_total.fetch_add(cap_ms, Ordering::Relaxed);
-                                }
-                                let sim0 = Instant::now();
-                                let mut frontend = fe.instantiate();
-                                let m = frontend.run(&trace);
-                                let sim_ms = sim0.elapsed().as_millis() as u64;
-                                (m, cap_ms + sim_ms, cap_ms, sim_ms)
-                            }
-                        }
-                    }
-                }
-            };
-            sim_ms_total.fetch_add(sim_ms, Ordering::Relaxed);
-            trace_sim_ms[cell.trace].fetch_add(sim_ms, Ordering::Relaxed);
-            let mut row = Row::new(spec.name, &spec.suite.to_string(), *fe, self.insts, &m);
-            row.elapsed_ms = elapsed_ms;
-            if let Some(store) = &self.store {
-                store.store_result(
-                    &result_key(spec, fe, self.insts),
-                    &crate::report::to_json(std::slice::from_ref(&row)),
-                );
-            }
-            done_rows.lock().expect("sweep result lock").push((cell.trace * n_fe + cell.fe, row));
-            if remaining[cell.trace].fetch_sub(1, Ordering::AcqRel) == 1 && self.progress {
+            let mut done = done.lock().expect("sweep result lock");
+            done[i] = Some((row, cost, section));
+            // The trace's cells are contiguous in the plan; report the
+            // trace once the last of them finishes.
+            let trace_cells = &done[i - cell.rank..i - cell.rank + cell.missing];
+            if self.progress && trace_cells.iter().all(Option::is_some) {
+                let costs = trace_cells.iter().flatten().map(|(_, c, _)| c);
+                let (cap, sim) = costs.fold((0, 0), |(a, b), c| (a + c.capture_ms, b + c.sim_ms));
                 eprintln!(
-                    "[sweep] {:<18} {} cached, {} simulated, capture {} ms, sim {} ms",
+                    "[sweep] {:<18} {} cached, {} simulated, capture {cap} ms, sim {sim} ms",
                     spec.name,
                     n_fe - cell.missing,
                     cell.missing,
-                    cap_ms,
-                    trace_sim_ms[cell.trace].load(Ordering::Relaxed)
                 );
             }
         });
-        for (idx, row) in done_rows.into_inner().expect("workers joined") {
-            rows[idx] = Some(row);
+        // The plan is trace-major, so the event file comes out in
+        // deterministic cell order, whatever the thread interleaving was.
+        let mut costs = Vec::with_capacity(cells.len());
+        let mut events = String::new();
+        for (cell, slot) in cells.iter().zip(done.into_inner().expect("workers joined")) {
+            let (row, cost, section) = slot.expect("every planned cell ran");
+            rows[cell.index(n_fe)] = Some(row);
+            costs.push(cost);
+            events.extend(section);
         }
         if let Some(path) = &self.trace_events {
-            // Deterministic trace-major cell order, whatever the thread
-            // interleaving was.
-            let mut sections = event_sections.into_inner().expect("workers joined");
-            sections.sort_by_key(|(idx, _)| *idx);
-            let out: String = sections.into_iter().map(|(_, s)| s).collect();
-            match std::fs::write(path, out) {
+            match std::fs::write(path, events) {
                 Ok(()) => {
                     if self.progress {
                         eprintln!("[sweep] wrote event trace {path}");
@@ -463,15 +252,9 @@ impl Sweep {
             frontends: n_fe,
             total_cells: n_cells,
             cached_cells: n_cells - cells.len(),
-            simulated_cells: cells.len(),
-            deduped_cells: 0,
-            captures: captures.into_inner(),
-            capture_ms: capture_ms_total.into_inner(),
-            sim_ms: sim_ms_total.into_inner(),
-            overlapped_cells: overlapped_cells.into_inner() as usize,
-            overlap_ms: overlap_ms_total.into_inner(),
             wall_ms: wall0.elapsed().as_millis() as u64,
             workers,
+            ..SweepBench::fold(&costs)
         };
         if self.progress {
             if let Some(store) = &self.store {
@@ -724,32 +507,6 @@ mod tests {
     }
 
     #[test]
-    fn capture_shares_sum_to_the_measured_time() {
-        // The remainder is spread over the first `total % missing`
-        // cells, one extra millisecond each, so nothing is dropped.
-        for (total, missing) in
-            [(0u64, 1usize), (1, 3), (7, 3), (9, 3), (100, 7), (6, 6), (5, 8), (1234, 11)]
-        {
-            let shares: Vec<u64> = (0..missing).map(|r| capture_share(total, missing, r)).collect();
-            assert_eq!(shares.iter().sum::<u64>(), total, "total={total} missing={missing}");
-            // Shares are within 1 ms of each other, largest first.
-            assert!(shares.windows(2).all(|w| w[0] >= w[1] && w[0] - w[1] <= 1));
-        }
-        // Overlapped cells use a different split of the same invariant:
-        // the leader's wall clock covers capture and simulation
-        // together, the capture attribution is the capture's own wall
-        // (clamped to the cell's), and the rest is sim — so the two
-        // attributions sum to exactly the measured cell time, never
-        // more (the old strictly-serial accounting would have summed to
-        // wall + capture, double-counting the hidden capture).
-        for (wall, cap_ms) in [(100u64, 60u64), (100, 100), (50, 80), (0, 0), (7, 0)] {
-            let capture_attr = cap_ms.min(wall);
-            let sim_attr = wall.saturating_sub(cap_ms);
-            assert_eq!(capture_attr + sim_attr, wall, "wall={wall} cap={cap_ms}");
-        }
-    }
-
-    #[test]
     fn streamed_sweep_overlaps_and_matches_resident() {
         let dir =
             std::env::temp_dir().join(format!("xbc-sweep-overlap-test-{}", std::process::id()));
@@ -760,7 +517,6 @@ mod tests {
         // Baseline rows: no store, resident capture.
         let mut resident = Sweep::new(traces.clone(), frontends.clone(), 4_000);
         resident.progress = false;
-        resident.stream_capture = false;
         let baseline = resident.run();
 
         // Cold streamed sweep: every trace is captured overlapped with

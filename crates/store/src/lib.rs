@@ -290,10 +290,10 @@ impl<V: Clone> Drop for FlightLead<'_, V> {
 /// in flight at a time; concurrent requesters block and share the
 /// leader's result instead of redoing the work.
 ///
-/// This is the dedup primitive behind [`Store::get_or_capture_shared`]
+/// This is the dedup primitive behind [`Store::stream_capture_shared`]
 /// and the `xbc-serve` daemon's cross-request cell dedup. Keys are
 /// caller-composed content hashes (the same discipline as the store's
-/// on-disk keys), values are cheap clones (`Arc`s in practice).
+/// on-disk keys), values are cheap clones (a row, or unit).
 ///
 /// A flight exists only while its leader is computing, so a follower
 /// never waits on work that is not actively running — which is also why
@@ -354,32 +354,6 @@ impl<V: Clone> SingleFlight<V> {
     pub fn in_flight(&self) -> usize {
         self.slots.lock().expect("flight table lock").len()
     }
-}
-
-/// How [`Store::get_or_capture_shared`] obtained its trace.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CaptureOutcome {
-    /// Loaded from the on-disk trace store.
-    CacheHit,
-    /// Captured fresh by this caller (and stored for next time).
-    Captured,
-    /// Shared from a concurrent caller's in-flight capture of the same
-    /// entry — this caller did no capture work and touched no counters.
-    Joined,
-}
-
-/// What [`Store::stream_capture_shared`] resolved to.
-pub enum StreamCapture<'a> {
-    /// The entry already exists on disk — stream it with
-    /// [`Store::open_trace_stream`].
-    CacheHit,
-    /// This caller won the race: a capture thread is now writing the
-    /// entry, and the returned handle carries the live replay channel.
-    Leader(OverlappedCapture<'a>),
-    /// A concurrent caller's capture of the same entry just finished —
-    /// the entry is on disk now; this caller did no capture work and
-    /// bumped no counters.
-    Joined,
 }
 
 /// A streamed capture in flight: a background thread is executing the
@@ -500,10 +474,6 @@ struct Counters {
 pub struct Store {
     root: PathBuf,
     c: Counters,
-    /// In-process single-flight dedup of trace entry creation: two
-    /// threads asking for the same absent `(spec, insts)` entry capture
-    /// it once and share the result (see [`Store::get_or_capture_shared`]).
-    capture_flights: SingleFlight<Arc<Trace>>,
     /// Single-flight dedup of *streamed* capture-to-disk (see
     /// [`Store::stream_capture_shared`]): the value is unit because the
     /// artifact is the on-disk entry, not an in-memory trace.
@@ -526,12 +496,7 @@ impl Store {
         let root = dir.as_ref().to_path_buf();
         fs::create_dir_all(root.join("traces"))?;
         fs::create_dir_all(root.join("results"))?;
-        Ok(Store {
-            root,
-            c: Counters::default(),
-            capture_flights: SingleFlight::new(),
-            stream_flights: SingleFlight::new(),
-        })
+        Ok(Store { root, c: Counters::default(), stream_flights: SingleFlight::new() })
     }
 
     /// The store's root directory.
@@ -621,52 +586,12 @@ impl Store {
     /// Loads the trace from the store or captures it fresh (storing the
     /// capture for next time). The returned trace is identical either
     /// way — that is the store's whole contract.
-    ///
-    /// Entry creation is single-flight (see
-    /// [`Store::get_or_capture_shared`]): concurrent callers racing on
-    /// the same absent entry capture it once and share the result.
     pub fn get_or_capture(&self, spec: &TraceSpec, insts: usize) -> Trace {
-        let (trace, _) = self.get_or_capture_shared(spec, insts);
-        match Arc::try_unwrap(trace) {
-            Ok(t) => t,
-            Err(shared) => (*shared).clone(),
-        }
-    }
-
-    /// [`Store::get_or_capture`] with in-process single-flight dedup
-    /// made visible: the first caller to miss on an entry becomes the
-    /// leader (loads or captures, storing the capture), and every
-    /// caller racing on the same key blocks briefly and shares the
-    /// leader's `Arc` instead of capturing again. The returned
-    /// [`CaptureOutcome`] says which side this caller was on — a
-    /// `Joined` caller did no work and bumped no store counters, so
-    /// summing `Captured` outcomes across concurrent consumers counts
-    /// each entry's creation exactly once.
-    pub fn get_or_capture_shared(
-        &self,
-        spec: &TraceSpec,
-        insts: usize,
-    ) -> (Arc<Trace>, CaptureOutcome) {
-        let key = format!("{}|{:016x}", spec.name, Self::trace_key(spec, insts));
-        loop {
-            match self.capture_flights.join(&key) {
-                Flight::Leader(lead) => {
-                    if let Some(t) = self.load_trace(spec, insts) {
-                        let t = Arc::new(t);
-                        lead.complete(Arc::clone(&t));
-                        return (t, CaptureOutcome::CacheHit);
-                    }
-                    let t = Arc::new(spec.capture(insts));
-                    self.store_trace(spec, insts, &t);
-                    lead.complete(Arc::clone(&t));
-                    return (t, CaptureOutcome::Captured);
-                }
-                Flight::Shared(t) => return (t, CaptureOutcome::Joined),
-                // The leader died mid-capture (panic on its thread);
-                // race to become the new leader and redo the work.
-                Flight::Failed(_) => continue,
-            }
-        }
+        self.load_trace(spec, insts).unwrap_or_else(|| {
+            let trace = spec.capture(insts);
+            self.store_trace(spec, insts, &trace);
+            trace
+        })
     }
 
     /// Opens a cached trace as a validated *streaming* source, or
@@ -690,8 +615,8 @@ impl Store {
     /// changed, which is worth being loud about.
     ///
     /// An absent entry returns `None` *without* counting a miss, so a
-    /// caller falling back to [`Store::get_or_capture`] doesn't count
-    /// the same miss twice. A validated hit counts `trace_hits` and
+    /// caller falling back to [`Store::stream_capture_shared`] doesn't
+    /// count the same miss twice. A validated hit counts `trace_hits` and
     /// `bytes_read` once (the validation scan; the replay reads the same
     /// bytes again but the entry is one logical read).
     pub fn open_trace_stream(
@@ -801,26 +726,25 @@ impl Store {
     /// the entry to disk while tee'ing the instruction stream into a
     /// bounded channel the leader simulates from, so a cold cell's
     /// capture time hides behind its first simulation. Callers racing on
-    /// the same key block until the leader's capture is on disk
-    /// ([`StreamCapture::Joined`]) and then stream it from the store;
-    /// when the entry already exists the caller gets
-    /// [`StreamCapture::CacheHit`] immediately.
+    /// the same key block until the leader's capture is on disk; they,
+    /// and callers finding the entry already on disk, get `None` and
+    /// stream it with [`Store::open_trace_stream`].
     ///
-    /// Counter discipline matches [`Store::get_or_capture_shared`]: only
-    /// a fresh leader counts a `trace_misses`, so summing leaders across
-    /// concurrent consumers counts each entry's creation exactly once.
+    /// Only a fresh leader counts a `trace_misses`, so summing leaders
+    /// across concurrent consumers counts each entry's creation exactly
+    /// once.
     pub fn stream_capture_shared(
         self: &Arc<Self>,
         spec: &TraceSpec,
         insts: usize,
-    ) -> StreamCapture<'_> {
+    ) -> Option<OverlappedCapture<'_>> {
         let key = format!("{}|{:016x}", spec.name, Self::trace_key(spec, insts));
         loop {
             match self.stream_flights.join(&key) {
                 Flight::Leader(lead) => {
                     if fs::metadata(self.trace_path(spec, insts)).is_ok() {
                         lead.complete(());
-                        return StreamCapture::CacheHit;
+                        return None;
                     }
                     self.c.trace_misses.fetch_add(1, Ordering::Relaxed);
                     let (tx, source) = ChannelSource::bounded(spec.name, insts as u64);
@@ -838,13 +762,13 @@ impl Store {
                         }
                         start.elapsed().as_millis() as u64
                     });
-                    return StreamCapture::Leader(OverlappedCapture {
+                    return Some(OverlappedCapture {
                         source: Some(source),
                         lead: Some(lead),
                         handle: Some(handle),
                     });
                 }
-                Flight::Shared(()) => return StreamCapture::Joined,
+                Flight::Shared(()) => return None,
                 // The leader died mid-capture; its detached thread may
                 // still have persisted the entry — retry leading and
                 // probe the disk again.
@@ -1149,7 +1073,7 @@ mod tests {
         let store = Store::open(&s.0).unwrap();
         let spec = &standard_traces()[0];
         // Absent entry: quiet None, no miss counted (the caller's
-        // get_or_capture fallback will count it).
+        // capture fallback will count it).
         assert!(store.open_trace_stream(spec, 1_000).is_none());
         assert_eq!(store.stats().trace_misses, 0);
         let resident = store.get_or_capture(spec, 1_000);
@@ -1310,34 +1234,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_capture_runs_once_across_racing_threads() {
-        let s = Scratch::new("shared-capture");
-        let store = Store::open(&s.0).unwrap();
-        let spec = &standard_traces()[0];
-        let outcomes: Mutex<Vec<CaptureOutcome>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for _ in 0..6 {
-                scope.spawn(|| {
-                    let (t, outcome) = store.get_or_capture_shared(spec, 1_000);
-                    assert_eq!(t.inst_count(), 1_000);
-                    outcomes.lock().unwrap().push(outcome);
-                });
-            }
-        });
-        let outcomes = outcomes.into_inner().unwrap();
-        let captured = outcomes.iter().filter(|o| matches!(o, CaptureOutcome::Captured)).count();
-        assert_eq!(captured, 1, "exactly one racer captures: {outcomes:?}");
-        // Exactly one miss was counted — the leader's — however many
-        // threads raced. (A racer arriving after the flight retired
-        // takes the CacheHit path; a racer arriving during it joins.)
-        assert_eq!(store.stats().trace_misses, 1);
-        // A later call is a plain cache hit.
-        let (_, outcome) = store.get_or_capture_shared(spec, 1_000);
-        assert_eq!(outcome, CaptureOutcome::CacheHit);
-        assert!(store.stats().trace_hits >= 1);
-    }
-
-    #[test]
     fn capture_to_store_matches_resident_entry_bytes() {
         let s = Scratch::new("capture-streamed");
         let store = Store::open(&s.0).unwrap();
@@ -1367,10 +1263,8 @@ mod tests {
         let spec = &standard_traces()[1];
         let insts = 3_000usize;
         // Leader: consume the live channel while the capture runs.
-        let mut cap = match store.stream_capture_shared(spec, insts) {
-            StreamCapture::Leader(cap) => cap,
-            _ => panic!("first caller on a cold entry must lead"),
-        };
+        let mut cap =
+            store.stream_capture_shared(spec, insts).expect("first caller on a cold entry leads");
         let mut src = cap.take_source();
         use xbc_workload::InstSource;
         let mut n = 0u64;
@@ -1385,7 +1279,7 @@ mod tests {
         let loaded = store.load_trace(spec, insts).expect("published entry loads");
         assert_eq!(loaded.insts(), resident.insts());
         // Warm entry: immediate cache hit, no new flight.
-        assert!(matches!(store.stream_capture_shared(spec, insts), StreamCapture::CacheHit));
+        assert!(store.stream_capture_shared(spec, insts).is_none());
         assert_eq!(store.stats().trace_misses, 1);
     }
 
@@ -1400,21 +1294,18 @@ mod tests {
             for _ in 0..4 {
                 scope.spawn(|| {
                     match store.stream_capture_shared(spec, insts) {
-                        StreamCapture::Leader(mut cap) => {
+                        Some(mut cap) => {
                             use xbc_workload::InstSource;
                             let mut src = cap.take_source();
                             while src.next_inst().is_some() {}
                             cap.finish();
                             outcomes.lock().unwrap().push("leader");
                         }
-                        StreamCapture::Joined => {
+                        None => {
                             // The entry must be on disk by the time a
                             // joiner wakes.
                             assert!(store.open_trace_stream(spec, insts).is_some());
-                            outcomes.lock().unwrap().push("joined");
-                        }
-                        StreamCapture::CacheHit => {
-                            outcomes.lock().unwrap().push("hit");
+                            outcomes.lock().unwrap().push("on disk");
                         }
                     }
                 });
@@ -1432,24 +1323,16 @@ mod tests {
         let store = Arc::new(Store::open(&s.0).unwrap());
         let spec = &standard_traces()[3];
         let insts = 1_500usize;
-        match store.stream_capture_shared(spec, insts) {
-            StreamCapture::Leader(cap) => drop(cap), // simulation abandoned
-            _ => panic!("cold entry must lead"),
-        }
+        // The simulation is abandoned.
+        drop(store.stream_capture_shared(spec, insts).expect("cold entry must lead"));
         // The detached capture thread still publishes the entry; a
         // retrying leader finds it on disk (poll briefly — the thread
         // is detached).
         let deadline = Instant::now() + Duration::from_secs(30);
-        loop {
-            match store.stream_capture_shared(spec, insts) {
-                StreamCapture::CacheHit => break,
-                StreamCapture::Leader(cap) => {
-                    drop(cap);
-                    assert!(Instant::now() < deadline, "entry never appeared");
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                StreamCapture::Joined => break,
-            }
+        while let Some(cap) = store.stream_capture_shared(spec, insts) {
+            drop(cap);
+            assert!(Instant::now() < deadline, "entry never appeared");
+            std::thread::sleep(Duration::from_millis(20));
         }
         let resident = spec.capture(insts);
         let loaded = store.load_trace(spec, insts).expect("entry persisted");

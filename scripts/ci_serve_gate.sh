@@ -9,7 +9,9 @@
 #      the same cold grid; `simulated_cells` summed across their bench
 #      reports must equal the number of distinct cells — single-flight
 #      dedup means nothing is ever simulated twice, however the two
-#      requests interleave;
+#      requests interleave — and the summed `captures` and
+#      `simulated_cells` must equal those of a one-shot cold
+#      `xbcsim sweep` on its own fresh cache (both run one executor);
 #   3. graceful shutdown, and (Unix) the socket file is gone;
 #   4. the dedup and fault-injection test suites run under the `check`
 #      feature.
@@ -134,6 +136,32 @@ run_gate() { # TRANSPORT
     cat "results/ci_serve_cold_bench_${T}_a.json" "results/ci_serve_cold_bench_${T}_b.json" >&2
     exit 1
   fi
+  # Parity: a one-shot cold sweep of the same grid, on its own fresh
+  # cache, must report the same captures and simulated cells as the two
+  # racing clients together.
+  ONESHOT_CACHE="target/ci-serve-oneshot-cache-$T"
+  rm -rf "$ONESHOT_CACHE"
+  ONESHOT_LOG="results/ci_serve_oneshot_bench_$T.log"
+  if ! "$B/xbcsim" sweep "${GRID[@]}" --cache "$ONESHOT_CACHE" \
+      --bench-json "results/ci_serve_oneshot_bench_$T.json" > /dev/null 2> "$ONESHOT_LOG"; then
+    echo "FAIL($T): the one-shot cold sweep for the parity check failed; its stderr:" >&2
+    cat "$ONESHOT_LOG" >&2
+    exit 1
+  fi
+  rm -rf "$ONESHOT_CACHE"
+  for field in captures simulated_cells; do
+    ONESHOT=$(grep -o "\"$field\": [0-9]*" "results/ci_serve_oneshot_bench_$T.json" | awk '{print $2}')
+    CLIENTS=$(grep -ho "\"$field\": [0-9]*" \
+        "results/ci_serve_cold_bench_${T}_a.json" \
+        "results/ci_serve_cold_bench_${T}_b.json" \
+      | awk '{s += $2} END {print s}')
+    if [ "$CLIENTS" -ne "$ONESHOT" ]; then
+      echo "FAIL($T): two racing cold clients report $field $CLIENTS; a one-shot cold sweep reports $ONESHOT" >&2
+      cat "results/ci_serve_oneshot_bench_$T.json" >&2
+      exit 1
+    fi
+  done
+
   for side in a b; do
     if ! cmp -s "results/ci_serve_oneshot_$T.json" \
                 "results/ci_serve_cold_rows_${T}_$side.json"; then
@@ -149,7 +177,7 @@ run_gate() { # TRANSPORT
     echo "FAIL: daemon left its socket behind: $SOCK" >&2
     exit 1
   fi
-  echo "OK($T): warm byte-identity + cold dedup ($SIMULATED/$DISTINCT_CELLS simulated once) over $T"
+  echo "OK($T): warm byte-identity + cold dedup ($SIMULATED/$DISTINCT_CELLS simulated once, one-shot parity) over $T"
 }
 
 run_gate unix

@@ -8,13 +8,15 @@
 //! untraced runs produce identical metrics), and traced sweeps must be
 //! deterministic across thread counts (byte-identical event files).
 
+use std::sync::Arc;
 use xbc::{XbcConfig, XbcFrontend, XbcInvariants};
 use xbc_frontend::{
     BbtcConfig, BbtcFrontend, Frontend, IcFrontend, IcFrontendConfig, Reconciler, TcConfig,
     TraceCacheFrontend, UopCacheConfig, UopCacheFrontend,
 };
 use xbc_obs::{Event, VecSink};
-use xbc_sim::{FrontendSpec, Sweep};
+use xbc_sim::{to_json, FrontendSpec, Row, Sweep};
+use xbc_store::Store;
 use xbc_workload::{standard_traces, TraceSpec};
 
 fn all_frontends(total_uops: usize) -> Vec<Box<dyn Frontend>> {
@@ -104,7 +106,11 @@ fn d2b_causes_sum_to_delivery_to_build_on_every_frontend() {
     }
 }
 
-fn traced_sweep_file(threads: usize, path: &std::path::Path) {
+fn traced_sweep_file(
+    threads: usize,
+    path: &std::path::Path,
+    store: Option<&Arc<Store>>,
+) -> Vec<Row> {
     let traces: Vec<TraceSpec> = standard_traces().into_iter().take(3).collect();
     let frontends = vec![
         FrontendSpec::Ic,
@@ -116,8 +122,12 @@ fn traced_sweep_file(threads: usize, path: &std::path::Path) {
     sweep.threads = threads;
     sweep.check = true; // reconcile every cell while we're at it
     sweep.trace_events = Some(path.to_string_lossy().into_owned());
+    if let Some(store) = store {
+        sweep = sweep.with_store(Arc::clone(store));
+    }
     let rows = sweep.run();
     assert_eq!(rows.len(), 9);
+    rows
 }
 
 #[test]
@@ -126,8 +136,8 @@ fn traced_sweep_is_byte_identical_across_thread_counts() {
     std::fs::create_dir_all(&dir).unwrap();
     let single = dir.join("events-t1.jsonl");
     let parallel = dir.join("events-t0.jsonl");
-    traced_sweep_file(1, &single);
-    traced_sweep_file(0, &parallel);
+    traced_sweep_file(1, &single, None);
+    traced_sweep_file(0, &parallel, None);
     let a = std::fs::read(&single).unwrap();
     let b = std::fs::read(&parallel).unwrap();
     assert!(!a.is_empty());
@@ -139,5 +149,32 @@ fn traced_sweep_is_byte_identical_across_thread_counts() {
         let m = Reconciler::fold(s.events.iter());
         assert!(m.cycles > 0, "{} on {}: empty section", s.frontend, s.trace);
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn store_backed_traced_sweep_matches_storeless() {
+    // With a store, checked and traced cells stream their trace: the
+    // cold run's leaders replay off the capture channel, the warm run's
+    // cells (a traced sweep skips the row cache) stream stored entries.
+    // Both must write the storeless event file byte for byte.
+    let dir = std::env::temp_dir().join(format!("xbc-event-store-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let strip = |mut rows: Vec<Row>| {
+        rows.iter_mut().for_each(|r| r.elapsed_ms = 0);
+        to_json(&rows)
+    };
+    let resident = dir.join("resident.jsonl");
+    let expected_rows = strip(traced_sweep_file(2, &resident, None));
+    let expected = std::fs::read(&resident).unwrap();
+    let store = Arc::new(Store::open(dir.join("cache")).unwrap());
+    for run in ["cold", "warm"] {
+        let path = dir.join(format!("{run}.jsonl"));
+        let rows = strip(traced_sweep_file(2, &path, Some(&store)));
+        assert_eq!(rows, expected_rows, "{run} store-backed rows differ");
+        assert!(std::fs::read(&path).unwrap() == expected, "{run} store-backed event file differs");
+    }
+    assert_eq!(store.stats().trace_misses, 3, "each trace captured once, then streamed");
     let _ = std::fs::remove_dir_all(&dir);
 }

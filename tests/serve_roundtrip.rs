@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use xbc_serve::protocol::SweepRequest;
 use xbc_serve::{ping, shutdown, submit, Endpoint, ServeConfig};
-use xbc_sim::{to_json, FrontendSpec, Sweep};
+use xbc_sim::{to_json, FrontendSpec, Row, Sweep, SweepBench};
 use xbc_store::Store;
 use xbc_workload::standard_traces;
 
@@ -35,6 +35,13 @@ fn wait_until_live(endpoint: &Endpoint) {
 
 fn sweep_req(names: &[String], frontends: &[FrontendSpec], insts: usize) -> SweepRequest {
     SweepRequest { traces: names.to_vec(), frontends: frontends.to_vec(), insts, priority: 0 }
+}
+
+/// Row JSON with the one wall-clock field zeroed.
+fn strip_elapsed(rows: &[Row]) -> String {
+    let mut rows = rows.to_vec();
+    rows.iter_mut().for_each(|r| r.elapsed_ms = 0);
+    to_json(&rows)
 }
 
 #[test]
@@ -118,6 +125,44 @@ fn daemon_matches_sweep_and_never_resimulates() {
     shutdown(&endpoint).unwrap();
     daemon.join().unwrap().unwrap();
     assert!(!socket.exists(), "daemon must remove its socket on exit");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn cold_sweep_and_daemon_report_the_same_trailer() {
+    // One cold grid, each entry point on its own fresh store: the two
+    // run the same cell executor and fold the same cell costs, so their
+    // accounting agrees and their rows differ in `elapsed_ms` alone.
+    let dir = scratch_dir("parity");
+    let endpoint = Endpoint::unix(dir.join("d.sock"));
+    let traces: Vec<_> = standard_traces().into_iter().take(2).collect();
+    let names: Vec<String> = traces.iter().map(|t| t.name.to_owned()).collect();
+    let frontends = vec![FrontendSpec::Ic, FrontendSpec::tc_default(), FrontendSpec::xbc_default()];
+
+    let sweep_store = Arc::new(Store::open(dir.join("sweep")).unwrap());
+    let mut oneshot = Sweep::new(traces, frontends.clone(), 5_000).with_store(sweep_store);
+    oneshot.progress = false;
+    oneshot.threads = 2;
+    let (rows, bench) = oneshot.run_with_bench();
+
+    let mut config = ServeConfig::new(endpoint.clone());
+    config.threads = 2;
+    config.store = Some(Arc::new(Store::open(dir.join("daemon")).unwrap()));
+    let daemon = thread::spawn(move || xbc_serve::serve(&config));
+    wait_until_live(&endpoint);
+    let out = submit(&endpoint, &sweep_req(&names, &frontends, 5_000)).unwrap();
+    shutdown(&endpoint).unwrap();
+    daemon.join().unwrap().unwrap();
+
+    let accounting =
+        |b: &SweepBench| (b.captures, b.cached_cells, b.simulated_cells, b.overlapped_cells);
+    assert_eq!(accounting(&out.bench), accounting(&bench), "{:?} vs {bench:?}", out.bench);
+    assert_eq!(accounting(&bench), (2, 0, 6, 2), "one overlapped capture per cold trace");
+    assert_eq!(
+        strip_elapsed(&out.rows),
+        strip_elapsed(&rows),
+        "daemon rows differ from sweep rows"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -287,14 +332,7 @@ fn uncached_daemon_still_serves_correct_rows() {
 
     let out = submit(&endpoint, &sweep_req(&names, &frontends, 2_000)).unwrap();
     assert!(out.store.is_none(), "uncached daemon must not report store stats");
-    let strip = |rows: &[xbc_sim::Row]| {
-        let mut rows = rows.to_vec();
-        for r in &mut rows {
-            r.elapsed_ms = 0;
-        }
-        to_json(&rows)
-    };
-    assert_eq!(strip(&out.rows), strip(&expected));
+    assert_eq!(strip_elapsed(&out.rows), strip_elapsed(&expected));
 
     shutdown(&endpoint).unwrap();
     daemon.join().unwrap().unwrap();

@@ -10,7 +10,9 @@
 use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
-use xbc_sim::{result_key, FrontendSpec, Sweep};
+use xbc_serve::protocol::SweepRequest;
+use xbc_serve::{shutdown, submit, Endpoint, ServeConfig, Server};
+use xbc_sim::{result_key, to_json, FrontendSpec, Row, Sweep};
 use xbc_store::Store;
 use xbc_workload::{standard_traces, TraceSpec};
 
@@ -129,6 +131,109 @@ fn undecodable_cached_row_is_evicted_and_regenerated() {
         assert_eq!(f.cycles, t.cycles);
     }
     fs::remove_dir_all(&dir).ok();
+}
+
+/// Runs one trace × 2 columns at 200K insts uncached, then through a
+/// `Sweep` at `threads` 1 and 2 and through a daemon request, each on a
+/// fresh store made by `make_store(tag)`. Calls `check(what, store,
+/// captures)` after each store-backed run and asserts its rows equal the
+/// uncached ones (but for `elapsed_ms`).
+fn sweep_everywhere(
+    spec: &TraceSpec,
+    make_store: impl Fn(&str) -> Arc<Store>,
+    check: impl Fn(&str, &Store, u64),
+) {
+    let frontends = vec![FrontendSpec::Ic, FrontendSpec::xbc_default()];
+    let insts = 200_000;
+    let strip = |mut rows: Vec<Row>| {
+        rows.iter_mut().for_each(|r| r.elapsed_ms = 0);
+        to_json(&rows)
+    };
+    let mut uncached = Sweep::new(vec![spec.clone()], frontends.clone(), insts);
+    uncached.progress = false;
+    let expected = strip(uncached.run());
+
+    for threads in [1, 2] {
+        let store = make_store(&format!("t{threads}"));
+        let mut sweep =
+            Sweep::new(vec![spec.clone()], frontends.clone(), insts).with_store(Arc::clone(&store));
+        sweep.progress = false;
+        sweep.threads = threads;
+        let (rows, bench) = sweep.run_with_bench();
+        check(&format!("threads {threads}"), &store, bench.captures);
+        assert_eq!(strip(rows), expected, "threads {threads}");
+        fs::remove_dir_all(store.root()).ok();
+    }
+
+    let store = make_store("daemon");
+    let endpoint = Endpoint::unix(store.root().join("d.sock"));
+    let mut config = ServeConfig::new(endpoint.clone());
+    config.threads = 2;
+    config.store = Some(Arc::clone(&store));
+    let server = Server::bind(config).unwrap();
+    let daemon = std::thread::spawn(move || server.run());
+    let req = SweepRequest { traces: vec![spec.name.to_owned()], frontends, insts, priority: 0 };
+    let out = submit(&endpoint, &req).unwrap();
+    shutdown(&endpoint).unwrap();
+    daemon.join().unwrap().unwrap();
+    check("daemon", &store, out.bench.captures);
+    assert_eq!(strip(out.rows), expected, "daemon");
+    fs::remove_dir_all(store.root()).ok();
+}
+
+/// A fresh store holding `spec`'s 200K-inst trace entry, rewritten by
+/// `spoil` (given the entry's path).
+fn spoiled_store(tag: &str, spec: &TraceSpec, spoil: impl Fn(&std::path::Path)) -> Arc<Store> {
+    let dir = scratch(tag);
+    Store::open(&dir).unwrap().capture_to_store(spec, 200_000, |_, _| {}).unwrap();
+    spoil(&only_file(&dir.join("traces")));
+    Arc::new(Store::open(&dir).unwrap())
+}
+
+#[test]
+fn corrupt_stored_trace_is_evicted_and_recaptured_once() {
+    // Store-backed cells stream their trace. A corrupt stored entry is
+    // caught by the validating open of the trace's first cell, evicted
+    // once and recaptured once — at any thread count and through either
+    // entry point — and the rows match an uncached sweep.
+    let spec = standard_traces()[0].clone();
+    let flip_a_byte = |path: &std::path::Path| {
+        let mut raw = fs::read(path).unwrap();
+        let mid = raw.len() / 2;
+        raw[mid] ^= 0x5A;
+        fs::write(path, &raw).unwrap();
+    };
+    sweep_everywhere(
+        &spec,
+        |tag| spoiled_store(&format!("corrupt-trace-{tag}"), &spec, flip_a_byte),
+        |what, store, captures| {
+            assert_eq!(store.stats().corrupt_entries, 1, "{what}: evicted once");
+            assert_eq!(captures, 1, "{what}: recaptured once");
+        },
+    );
+}
+
+#[test]
+fn unopenable_stored_trace_is_bypassed() {
+    // An entry that exists but can be neither read nor removed — here a
+    // directory where the trace file should be — defeats both the
+    // validating open and the eviction. The cells then capture the trace
+    // in memory once, share it, and still return correct rows: no panic,
+    // no hung daemon request.
+    let spec = standard_traces()[0].clone();
+    let replace_with_a_directory = |path: &std::path::Path| {
+        fs::remove_file(path).unwrap();
+        fs::create_dir(path).unwrap();
+        fs::write(path.join("blocker"), b"not a trace").unwrap();
+    };
+    sweep_everywhere(
+        &spec,
+        |tag| spoiled_store(&format!("unopenable-trace-{tag}"), &spec, replace_with_a_directory),
+        |what, store, captures| {
+            assert!(store.stats().corrupt_entries >= 1, "{what}: the failed opens are logged");
+            assert_eq!(captures, 1, "{what}: captured in memory once");
+        },
+    );
 }
 
 #[test]
