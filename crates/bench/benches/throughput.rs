@@ -229,11 +229,12 @@ fn main() {
         .map(|i| args.get(i + 1).expect("--json requires a PATH").clone());
 
     let (uops, cases) = frontends();
-    components();
-    obs_overhead();
-
+    // Written before the guard below can panic, so a tripped guard still
+    // leaves the perf gate its replay numbers.
     if let Some(path) = json_path {
         std::fs::write(&path, to_json(uops, &cases)).expect("write --json output");
         println!("wrote {path}");
     }
+    components();
+    obs_overhead();
 }

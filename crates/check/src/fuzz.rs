@@ -1,17 +1,17 @@
 //! Seeded fuzz cases: random workload + configuration points, replayed
-//! through every frontend under the differential harness.
+//! through every frontend by a checked [`Replay`] against the reference
+//! stream.
 //!
 //! A [`FuzzCase`] is a *complete* description of one run — the workload
 //! seed, trace length, XBC configuration knobs, and an optional injected
 //! corruption — so a failing case written to disk as JSON replays
 //! byte-for-byte deterministically on any machine.
 
-use crate::diff::{DiffHarness, Divergence};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use xbc::{PromotionMode, XbcConfig, XbcFrontend};
 use xbc_frontend::{
-    BbtcConfig, BbtcFrontend, Frontend, FrontendMetrics, IcFrontend, IcFrontendConfig, TcConfig,
-    TimingConfig, TraceCacheFrontend, UopCacheConfig, UopCacheFrontend,
+    BbtcConfig, BbtcFrontend, Divergence, Frontend, FrontendMetrics, IcFrontend, IcFrontendConfig,
+    Replay, TcConfig, TimingConfig, TraceCacheFrontend, UopCacheConfig, UopCacheFrontend,
 };
 use xbc_sim::json::Json;
 use xbc_workload::{ProgramGenerator, Rng64, Trace, WorkloadProfile};
@@ -223,7 +223,7 @@ impl FuzzCase {
 /// How a fuzz case failed.
 #[derive(Clone, Debug)]
 pub enum Failure {
-    /// The harness caught a divergence.
+    /// The replay caught a divergence.
     Divergence(Divergence),
     /// A frontend panicked; the payload names the frontend and message.
     Panic {
@@ -245,7 +245,8 @@ impl std::fmt::Display for Failure {
     }
 }
 
-/// Runs one case through every frontend under the differential harness.
+/// Runs one case through every frontend: a checked [`Replay`] of the
+/// subject stream against the reference.
 ///
 /// A frontend panic is caught and reported as [`Failure::Panic`] rather
 /// than aborting the campaign — for a fuzzer, a panic *is* a finding.
@@ -255,11 +256,11 @@ impl std::fmt::Display for Failure {
 /// Returns the first [`Failure`] across the frontends.
 pub fn run_case(case: &FuzzCase) -> Result<Vec<(String, FrontendMetrics)>, Failure> {
     let (reference, subject) = case.traces();
-    let harness = DiffHarness::new();
     let mut results = Vec::new();
     for mut fe in case.frontends() {
         let name = fe.name().to_owned();
-        let run = catch_unwind(AssertUnwindSafe(|| harness.run(&mut *fe, &subject, &reference)));
+        let replay = Replay::resident(&subject).checked().against(&reference);
+        let run = catch_unwind(AssertUnwindSafe(|| replay.run(&mut *fe)));
         match run {
             Ok(Ok(metrics)) => results.push((name, metrics)),
             Ok(Err(div)) => return Err(Failure::Divergence(div)),

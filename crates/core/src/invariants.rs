@@ -121,31 +121,6 @@ impl XbcInvariants {
     pub fn check_xfu(xfu: &Xfu) -> Result<(), String> {
         xfu.audit()
     }
-
-    /// Audits accounting identities on a finished run's metrics: every
-    /// delivery→build switch must carry exactly one cause, so the cause
-    /// counters partition `delivery_to_build`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first violated invariant.
-    pub fn check_metrics(m: &xbc_frontend::FrontendMetrics) -> Result<(), String> {
-        if m.d2b_cause_sum() != m.delivery_to_build {
-            return Err(format!(
-                "d2b cause counters sum to {} but delivery_to_build is {}",
-                m.d2b_cause_sum(),
-                m.delivery_to_build
-            ));
-        }
-        if m.cycles != m.build_cycles + m.delivery_cycles + m.stall_cycles {
-            return Err(format!(
-                "cycle kinds sum to {} but cycles is {}",
-                m.build_cycles + m.delivery_cycles + m.stall_cycles,
-                m.cycles
-            ));
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -219,18 +194,5 @@ mod tests {
         let inst = xbc_isa::Inst::plain(Addr::new(0x10), 1, 2);
         x.observe(&DynInst { inst, taken: false, next_ip: Addr::new(0x11) });
         XbcInvariants::check_xfu(&x).unwrap();
-    }
-
-    #[test]
-    fn uncaused_d2b_switch_is_caught() {
-        let mut m = xbc_frontend::FrontendMetrics::default();
-        XbcInvariants::check_metrics(&m).unwrap();
-        m.delivery_to_build = 3;
-        m.d2b_xbtb_miss = 2;
-        m.d2b_return = 1;
-        XbcInvariants::check_metrics(&m).unwrap();
-        m.delivery_to_build = 4; // one switch forgot its cause
-        let err = XbcInvariants::check_metrics(&m).unwrap_err();
-        assert!(err.contains("delivery_to_build"), "{err}");
     }
 }

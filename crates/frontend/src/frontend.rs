@@ -2,50 +2,9 @@
 
 use crate::metrics::FrontendMetrics;
 use crate::oracle::OracleStream;
+use crate::replay::Replay;
 use xbc_obs::EventSink;
 use xbc_workload::{InstSource, Trace};
-
-/// The one replay loop behind every `run*` entry point: steps `fe`
-/// against `oracle` (traced when `sink` is set) until the stream drains,
-/// with the forward-progress watchdog. Shared so the resident and
-/// streaming paths cannot drift apart.
-///
-/// # Panics
-///
-/// Panics if the frontend stops delivering uops for 10,000 consecutive
-/// cycles (a livelocked pointer-repair loop must fail loudly rather
-/// than spin; the longest legal stall is one misprediction penalty
-/// plus an IC miss).
-fn drive<F: Frontend + ?Sized>(
-    fe: &mut F,
-    oracle: &mut OracleStream<'_>,
-    mut sink: Option<&mut dyn EventSink>,
-) -> FrontendMetrics {
-    let mut metrics = FrontendMetrics::default();
-    let mut last_delivered = 0u64;
-    let mut stuck_cycles = 0u32;
-    while !oracle.done() {
-        match sink.as_deref_mut() {
-            Some(s) => fe.step_traced(oracle, &mut metrics, s),
-            None => fe.step(oracle, &mut metrics),
-        }
-        if oracle.delivered_uops() == last_delivered {
-            stuck_cycles += 1;
-            assert!(
-                stuck_cycles < 10_000,
-                "{} frontend livelock at inst {} (ip {}): {}",
-                fe.name(),
-                oracle.inst_index(),
-                oracle.fetch_ip(),
-                fe.state_brief()
-            );
-        } else {
-            last_delivered = oracle.delivered_uops();
-            stuck_cycles = 0;
-        }
-    }
-    metrics
-}
 
 /// A trace-driven frontend model: replays a committed instruction stream
 /// and reports how many cycles it took and where the uops came from.
@@ -56,10 +15,10 @@ fn drive<F: Frontend + ?Sized>(
 /// in the `xbc` crate (paper §3).
 ///
 /// The unit of progress is [`Frontend::step`]: one machine cycle against
-/// the oracle cursor. [`Frontend::run`] is a provided whole-trace loop
-/// over `step` with a forward-progress watchdog; checkers (the `xbc-check`
-/// crate's lockstep differential harness) drive `step` directly so they
-/// can compare streams and audit state *between* cycles instead of only at
+/// the oracle cursor. [`Replay`] is the one loop that drives it: the
+/// provided `run*` methods are one-line replays, and checkers (`--check`,
+/// the `xbc-check` fuzzer) build a checked [`Replay`] that audits the
+/// accounting identities and state *between* cycles instead of only at
 /// the end of a run.
 pub trait Frontend {
     /// Short machine-readable name (used in report tables).
@@ -128,31 +87,26 @@ pub trait Frontend {
     ///
     /// # Panics
     ///
-    /// Panics if the frontend stops delivering uops for 10,000 consecutive
-    /// cycles (a livelocked pointer-repair loop must fail loudly rather
-    /// than spin; the longest legal stall is one misprediction penalty
-    /// plus an IC miss).
+    /// Panics with the [`Divergence`](crate::Divergence) if the frontend
+    /// livelocks (see [`Replay`]).
     fn run(&mut self, trace: &Trace) -> FrontendMetrics {
-        drive(self, &mut OracleStream::new(trace), None)
+        Replay::resident(trace).run(self).unwrap_or_else(|d| panic!("{d}"))
     }
 
-    /// [`Frontend::run`], tracing every cycle's events into `sink`.
-    ///
-    /// Same replay loop and watchdog as [`Frontend::run`], driving
-    /// [`Frontend::step_traced`] instead of `step`.
+    /// [`Frontend::run`], tracing every cycle's events into `sink`
+    /// through [`Frontend::step_traced`].
     ///
     /// # Panics
     ///
     /// Same livelock watchdog as [`Frontend::run`].
     fn run_traced(&mut self, trace: &Trace, sink: &mut dyn EventSink) -> FrontendMetrics {
-        drive(self, &mut OracleStream::new(trace), Some(sink))
+        Replay::resident(trace).traced(sink).run(self).unwrap_or_else(|d| panic!("{d}"))
     }
 
-    /// [`Frontend::run`] over a streaming instruction source: the trace
-    /// is pulled through a bounded window (default
-    /// [`crate::DEFAULT_STREAM_WINDOW`] instructions), so host memory is
-    /// O(window) however long the trace is. Metrics are bit-identical to
-    /// a resident [`Frontend::run`] of the same committed stream.
+    /// [`Frontend::run`] over a streaming instruction source (see
+    /// [`Replay::streamed`]): host memory is O(window) however long the
+    /// trace is, and the metrics are bit-identical to a resident
+    /// [`Frontend::run`] of the same committed stream.
     ///
     /// # Panics
     ///
@@ -160,20 +114,6 @@ pub trait Frontend {
     /// if the source yields corrupt data mid-stream (see
     /// `xbc_workload::TraceStream`).
     fn run_streamed(&mut self, source: &mut dyn InstSource) -> FrontendMetrics {
-        drive(self, &mut OracleStream::streaming(source), None)
-    }
-
-    /// [`Frontend::run_streamed`], tracing every cycle's events into
-    /// `sink`.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Frontend::run_streamed`].
-    fn run_streamed_traced(
-        &mut self,
-        source: &mut dyn InstSource,
-        sink: &mut dyn EventSink,
-    ) -> FrontendMetrics {
-        drive(self, &mut OracleStream::streaming(source), Some(sink))
+        Replay::streamed(source).run(self).unwrap_or_else(|d| panic!("{d}"))
     }
 }

@@ -6,6 +6,8 @@
 //! * [`OracleStream`] — uop-granular replay cursor over a captured trace,
 //! * [`FrontendMetrics`] — cycle/uop accounting (miss rate, bandwidth),
 //! * [`Frontend`] — the common `run(trace) -> metrics` interface,
+//! * [`Replay`] — the one replay loop behind every run, with the
+//!   livelock watchdog and optional per-cycle checks ([`Divergence`]),
 //! * [`BuildEngine`] / [`Predictors`] / [`FillSink`] — the shared IC + BTB +
 //!   decoder build-mode pipeline of paper Figure 6 (upper path),
 //! * [`IcFrontend`] — instruction-cache-only baseline (§2.1),
@@ -39,6 +41,7 @@ mod icfe;
 mod metrics;
 mod oracle;
 mod probe;
+mod replay;
 mod tc;
 mod uopcache;
 
@@ -49,5 +52,6 @@ pub use icfe::{IcFrontend, IcFrontendConfig};
 pub use metrics::FrontendMetrics;
 pub use oracle::{OracleStream, DEFAULT_STREAM_LOOKAHEAD, DEFAULT_STREAM_WINDOW};
 pub use probe::{Probe, Reconciler};
+pub use replay::{Divergence, DivergenceKind, Replay};
 pub use tc::{TcConfig, TraceCacheFrontend};
 pub use uopcache::{UopCacheConfig, UopCacheFrontend};

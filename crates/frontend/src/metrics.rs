@@ -7,6 +7,7 @@
 //! * **uop bandwidth** (Figure 8): uops supplied from the caching structure
 //!   per delivery-mode cycle ("bandwidth is defined only for hits").
 
+use crate::replay::DivergenceKind;
 use std::fmt;
 use std::ops::AddAssign;
 use xbc_obs::{CycleKind, D2bCause, Event, MispredictKind, UopSource};
@@ -156,6 +157,55 @@ impl FrontendMetrics {
             + self.d2b_indirect
             + self.d2b_misfetch
             + self.d2b_structure_miss
+    }
+
+    /// Checks the accounting identities every correct frontend keeps,
+    /// given the `delivered_uops` the oracle cursor has handed out:
+    ///
+    /// * **cycle partition** — `cycles == build + delivery + stall`;
+    /// * **d2b-cause partition** — every delivery→build switch carries
+    ///   exactly one cause, so [`FrontendMetrics::d2b_cause_sum`] equals
+    ///   `delivery_to_build`;
+    /// * **uop conservation** — [`FrontendMetrics::total_uops`] equals
+    ///   `delivered_uops`.
+    ///
+    /// A checked [`Replay`](crate::Replay) asserts them after every step.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first broken identity's kind and a description.
+    pub fn check_identities(&self, delivered_uops: u64) -> Result<(), (DivergenceKind, String)> {
+        let kinds = self.build_cycles + self.delivery_cycles + self.stall_cycles;
+        if self.cycles != kinds {
+            return Err((
+                DivergenceKind::CycleAccounting,
+                format!(
+                    "cycle partition broken: {} != {} build + {} delivery + {} stall",
+                    self.cycles, self.build_cycles, self.delivery_cycles, self.stall_cycles
+                ),
+            ));
+        }
+        if self.d2b_cause_sum() != self.delivery_to_build {
+            return Err((
+                DivergenceKind::D2bCause,
+                format!(
+                    "d2b cause counters sum to {} but delivery_to_build is {}",
+                    self.d2b_cause_sum(),
+                    self.delivery_to_build
+                ),
+            ));
+        }
+        if self.total_uops() != delivered_uops {
+            return Err((
+                DivergenceKind::Conservation,
+                format!(
+                    "uop conservation broken: metrics count {} but the oracle handed out {}",
+                    self.total_uops(),
+                    delivered_uops
+                ),
+            ));
+        }
+        Ok(())
     }
 
     /// Applies `n` cycle events of the same kind at once — arithmetically
@@ -374,6 +424,29 @@ mod tests {
         }
         assert_eq!(m.delivery_to_build, causes.len() as u64);
         assert_eq!(m.d2b_cause_sum(), m.delivery_to_build);
+    }
+
+    #[test]
+    fn each_broken_identity_is_named() {
+        let mut m = FrontendMetrics::default();
+        assert_eq!(m.check_identities(0), Ok(()));
+        m.delivery_to_build = 3;
+        m.d2b_xbtb_miss = 2;
+        m.d2b_return = 1;
+        assert_eq!(m.check_identities(0), Ok(()));
+        m.delivery_to_build = 4; // one switch forgot its cause
+        let (kind, detail) = m.check_identities(0).unwrap_err();
+        assert_eq!(kind, DivergenceKind::D2bCause);
+        assert!(detail.contains("delivery_to_build"), "{detail}");
+        m.delivery_to_build = 3;
+
+        m.cycles = 2;
+        m.build_cycles = 1;
+        assert_eq!(m.check_identities(0).unwrap_err().0, DivergenceKind::CycleAccounting);
+        m.stall_cycles = 1;
+        m.ic_uops = 4;
+        assert_eq!(m.check_identities(4), Ok(()));
+        assert_eq!(m.check_identities(5).unwrap_err().0, DivergenceKind::Conservation);
     }
 
     #[test]

@@ -44,8 +44,9 @@ pub enum MispredictKind {
 /// Why delivery mode gave up and switched back to build mode.
 ///
 /// Exactly one cause accompanies every delivery→build switch, so the
-/// per-cause counters sum to `delivery_to_build` (the d2b-sum
-/// invariant, checked by `XbcInvariants::check_metrics`).
+/// per-cause counters sum to `delivery_to_build` (the d2b-cause
+/// partition, one of the identities `FrontendMetrics::check_identities`
+/// defines and a checked `Replay` asserts after every step).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum D2bCause {
     /// XBTB lookup missed while resolving the next-XB pointer.

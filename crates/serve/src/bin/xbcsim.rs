@@ -17,6 +17,7 @@
 
 use std::fs::File;
 use std::process::exit;
+use xbc_frontend::Replay;
 use xbc_serve::protocol::SweepRequest;
 use xbc_serve::Endpoint;
 use xbc_sim::{pivot_table, FrontendSpec, Row, Sweep};
@@ -148,82 +149,64 @@ fn cmd_list() {
     }
 }
 
-/// `run --stream on`: replay through the bounded-window oracle instead
-/// of a resident `Trace`. `--from FILE` streams straight off the file
-/// (host memory stays O(window) however big it is); `--trace NAME`
-/// captures, encodes to the XBT1 wire format in memory, and streams
-/// that — same replay path, demonstrating metric equivalence.
-fn cmd_run_streamed(flags: &Flags, spec: &FrontendSpec, check: bool) {
-    let input: Box<dyn std::io::Read> = if let Some(path) = flags.get("from") {
-        Box::new(File::open(path).unwrap_or_else(|e| fail(&format!("open {path}: {e}"))))
-    } else {
+/// `run`: replays one trace through one frontend. The trace is resident
+/// (`--trace NAME` captured, or `--from FILE` loaded), or with `--stream
+/// on` pulled through the bounded-window oracle: `--from FILE` streams
+/// straight off the file (host memory stays O(window) however big it is),
+/// and `--trace NAME` captures, encodes to the XBT1 wire format in memory,
+/// and streams that — same metrics either way. `--trace-events` and
+/// `--check on` apply to both sources.
+fn cmd_run(flags: &Flags) {
+    let spec =
+        frontend_spec(flags.get("frontend").unwrap_or("xbc"), flags.get_usize("size", 32 * 1024));
+    let streamed = flags.get_bool("stream", false);
+    let open = |path: &str| File::open(path).unwrap_or_else(|e| fail(&format!("open {path}: {e}")));
+    let capture = || {
         let name = flags.get("trace").unwrap_or_else(|| fail("run needs --trace or --from"));
-        let trace = load_trace_by_name(name, flags.get_usize("inst", 500_000));
-        let mut buf = Vec::new();
-        trace.save(&mut buf).unwrap_or_else(|e| fail(&format!("encode {name}: {e}")));
-        Box::new(std::io::Cursor::new(buf))
+        load_trace_by_name(name, flags.get_usize("inst", 500_000))
     };
-    let mut stream = TraceStream::new(input).unwrap_or_else(|e| fail(&format!("open stream: {e}")));
-    let name = stream.name().to_owned();
-    let mut fe = spec.instantiate();
-    let m = if let Some(path) = flags.get("trace-events") {
-        let mut sink = xbc_obs::VecSink::new();
-        let m = if check {
-            xbc_sim::run_checked_streamed(&mut *fe, &mut stream, &name, &mut sink)
-        } else {
-            fe.run_streamed_traced(&mut stream, &mut sink)
+    let (trace, mut stream);
+    let (name, mut replay) = if streamed {
+        let input: Box<dyn std::io::Read> = match flags.get("from") {
+            Some(path) => Box::new(open(path)),
+            None => {
+                let trace = capture();
+                let mut buf = Vec::new();
+                trace
+                    .save(&mut buf)
+                    .unwrap_or_else(|e| fail(&format!("encode {}: {e}", trace.name())));
+                Box::new(std::io::Cursor::new(buf))
+            }
         };
+        stream = TraceStream::new(input).unwrap_or_else(|e| fail(&format!("open stream: {e}")));
+        (stream.name().to_owned(), Replay::streamed(&mut stream))
+    } else {
+        trace = match flags.get("from") {
+            Some(path) => {
+                Trace::load(open(path)).unwrap_or_else(|e| fail(&format!("load {path}: {e}")))
+            }
+            None => capture(),
+        };
+        (trace.name().to_owned(), Replay::resident(&trace))
+    };
+    let mut sink = flags.get("trace-events").map(|_| xbc_obs::VecSink::new());
+    if let Some(sink) = sink.as_mut() {
+        replay = replay.traced(sink);
+    }
+    if flags.get_bool("check", false) {
+        // Verified replay: per-cycle accounting identities + structural
+        // audits, same metrics as the plain run.
+        replay = replay.checked();
+    }
+    let m = replay.run(&mut *spec.instantiate()).unwrap_or_else(|d| fail(&d.to_string()));
+    if let (Some(path), Some(sink)) = (flags.get("trace-events"), sink) {
         let mut out = String::new();
         xbc_obs::jsonl::write_section(&mut out, &spec.label(), &name, &sink.events);
         std::fs::write(path, out).unwrap_or_else(|e| fail(&format!("write {path}: {e}")));
         eprintln!("wrote {path} ({} events)", sink.events.len());
-        m
-    } else if check {
-        xbc_sim::run_checked_streamed(&mut *fe, &mut stream, &name, &mut xbc_obs::NullSink)
-    } else {
-        fe.run_streamed(&mut stream)
-    };
-    println!("{} on {} (streamed, {} uops):", spec.label(), name, m.total_uops());
-    println!("{m}");
-}
-
-fn cmd_run(flags: &Flags) {
-    let kind = flags.get("frontend").unwrap_or("xbc");
-    let size = flags.get_usize("size", 32 * 1024);
-    let spec = frontend_spec(kind, size);
-    let check = flags.get_bool("check", false);
-    if flags.get_bool("stream", false) {
-        cmd_run_streamed(flags, &spec, check);
-        return;
     }
-    let trace = if let Some(path) = flags.get("from") {
-        let f = File::open(path).unwrap_or_else(|e| fail(&format!("open {path}: {e}")));
-        Trace::load(f).unwrap_or_else(|e| fail(&format!("load {path}: {e}")))
-    } else {
-        let name = flags.get("trace").unwrap_or_else(|| fail("run needs --trace or --from"));
-        load_trace_by_name(name, flags.get_usize("inst", 500_000))
-    };
-    let mut fe = spec.instantiate();
-    let m = if let Some(path) = flags.get("trace-events") {
-        let mut sink = xbc_obs::VecSink::new();
-        let m = if check {
-            xbc_sim::run_checked_traced(&mut *fe, &trace, trace.name(), &mut sink)
-        } else {
-            fe.run_traced(&trace, &mut sink)
-        };
-        let mut out = String::new();
-        xbc_obs::jsonl::write_section(&mut out, &spec.label(), trace.name(), &sink.events);
-        std::fs::write(path, out).unwrap_or_else(|e| fail(&format!("write {path}: {e}")));
-        eprintln!("wrote {path} ({} events)", sink.events.len());
-        m
-    } else if check {
-        // Verified replay: per-cycle accounting identities + structural
-        // audit, same metrics as the plain run.
-        xbc_sim::run_checked(&mut *fe, &trace, trace.name())
-    } else {
-        fe.run(&trace)
-    };
-    println!("{} on {} ({} uops):", spec.label(), trace.name(), trace.uop_count());
+    let how = if streamed { "streamed, " } else { "" };
+    println!("{} on {} ({how}{} uops):", spec.label(), name, m.total_uops());
     println!("{m}");
 }
 

@@ -26,14 +26,14 @@
 use crate::bench::CellCost;
 use crate::report::{rows_from_json, to_json, Row};
 use crate::spec::FrontendSpec;
-use crate::sweep::{result_key, run_checked_streamed, run_checked_traced};
+use crate::sweep::result_key;
 use std::fs::File;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
-use xbc_frontend::{Frontend, FrontendMetrics, Reconciler};
-use xbc_obs::{NullSink, VecSink};
+use xbc_frontend::{Frontend, FrontendMetrics, Reconciler, Replay};
+use xbc_obs::VecSink;
 use xbc_store::{OverlappedCapture, Store};
-use xbc_workload::{InstSource, Trace, TraceSpec, TraceStream};
+use xbc_workload::{Trace, TraceSpec, TraceStream};
 
 /// How many times a cell tries to open a stored trace that a concurrent
 /// capture reports as on disk before bypassing the store. Each failed
@@ -102,12 +102,6 @@ enum Acquired<'s> {
     Unopenable,
 }
 
-/// A replay source: a resident trace or a stream.
-enum Source<'a> {
-    Resident(&'a Trace),
-    Streamed(&'a mut dyn InstSource),
-}
-
 /// Executes the cells of one `(traces × frontends × insts)` grid. It
 /// holds the grid, the optional store, and one trace slot per trace; a
 /// fresh executor per run (or per daemon request) gives each run its
@@ -158,9 +152,9 @@ impl CellExecutor {
         CellExecutor { traces, frontends, insts, store, check: false, slots }
     }
 
-    /// Asserts the per-cycle accounting identities and the structural
-    /// self-audits on every replay (and, on traced cells, that the event
-    /// stream folds back to the metrics). Rows are unchanged.
+    /// Replays every cell [`checked`](Replay::checked) (and, on traced
+    /// cells, asserts that the event stream folds back to the metrics).
+    /// Rows are unchanged.
     pub fn checked(mut self, check: bool) -> CellExecutor {
         self.check = check;
         self
@@ -218,7 +212,8 @@ impl CellExecutor {
     ///
     /// # Panics
     ///
-    /// Panics on a failed check (with [`CellExecutor::checked`]).
+    /// Panics on a livelock or a failed check (with
+    /// [`CellExecutor::checked`]).
     pub fn execute(&self, cell: &Cell, mut events: Option<&mut VecSink>) -> (Row, CellCost) {
         let spec = &self.traces[cell.trace];
         let fe = &self.frontends[cell.fe];
@@ -284,7 +279,7 @@ impl CellExecutor {
         events: Option<&mut VecSink>,
     ) -> (FrontendMetrics, CellCost) {
         let sim0 = Instant::now();
-        let m = self.replay(fe, Source::Resident(trace), self.traces[cell.trace].name, events);
+        let m = self.replay(cell, fe, Replay::resident(trace), events);
         let cost = CellCost {
             capture_ms: capture_share(cap_ms, cell.missing, cell.rank),
             sim_ms: ms_since(sim0),
@@ -331,7 +326,7 @@ impl CellExecutor {
         match first.unwrap_or_else(|| self.acquire(store, spec)) {
             Acquired::Opened(mut stream, open_ms) => {
                 let sim0 = Instant::now();
-                let m = self.replay(fe, Source::Streamed(&mut stream), spec.name, events);
+                let m = self.replay(cell, fe, Replay::streamed(&mut stream), events);
                 let cost =
                     CellCost { capture_ms: open_ms, sim_ms: ms_since(sim0), ..CellCost::default() };
                 (m, cost)
@@ -339,7 +334,7 @@ impl CellExecutor {
             Acquired::Leader(mut cap) => {
                 let t0 = Instant::now();
                 let mut source = cap.take_source();
-                let m = self.replay(fe, Source::Streamed(&mut source), spec.name, events);
+                let m = self.replay(cell, fe, Replay::streamed(&mut source), events);
                 let cap_ms = cap.finish();
                 (m, overlapped_cost(ms_since(t0), cap_ms))
             }
@@ -377,32 +372,25 @@ impl CellExecutor {
         Acquired::Unopenable
     }
 
-    /// The replay loop for this executor's mode: plain, traced into
-    /// `events`, or checked.
-    fn replay(
+    /// Runs `replay` of `cell` in this executor's mode: traced into
+    /// `events` when given, checked with [`CellExecutor::checked`].
+    fn replay<'a>(
         &self,
+        cell: &Cell,
         fe: &mut dyn Frontend,
-        source: Source<'_>,
-        trace_name: &str,
-        events: Option<&mut VecSink>,
+        mut replay: Replay<'a>,
+        events: Option<&'a mut VecSink>,
     ) -> FrontendMetrics {
+        if let Some(sink) = events {
+            replay = replay.traced(sink);
+        }
         if self.check {
-            let mut null = NullSink;
-            let sink: &mut dyn xbc_obs::EventSink = match events {
-                Some(sink) => sink,
-                None => &mut null,
-            };
-            return match source {
-                Source::Resident(trace) => run_checked_traced(fe, trace, trace_name, sink),
-                Source::Streamed(src) => run_checked_streamed(fe, src, trace_name, sink),
-            };
+            replay = replay.checked();
         }
-        match (source, events) {
-            (Source::Resident(trace), None) => fe.run(trace),
-            (Source::Resident(trace), Some(sink)) => fe.run_traced(trace, sink),
-            (Source::Streamed(src), None) => fe.run_streamed(src),
-            (Source::Streamed(src), Some(sink)) => fe.run_streamed_traced(src, sink),
-        }
+        replay.run(fe).unwrap_or_else(|d| {
+            let (fe, spec) = (&self.frontends[cell.fe], &self.traces[cell.trace]);
+            panic!("{} on {}: {d}", fe.label(), spec.name)
+        })
     }
 }
 

@@ -54,8 +54,7 @@ pub use inspect::render_inspect;
 pub use report::{average_bandwidth, average_miss_rate, pivot_table, rows_from_json, to_json, Row};
 pub use spec::FrontendSpec;
 pub use sweep::{
-    map_traces_parallel, resolve_threads, result_key, run_checked, run_checked_oracle,
-    run_checked_streamed, run_checked_traced, sweep_custom, CustomRow, Sweep, CODE_VERSION,
+    map_traces_parallel, resolve_threads, result_key, sweep_custom, CustomRow, Sweep, CODE_VERSION,
 };
 /// The in-tree JSON parser (now hosted by `xbc-obs`; re-exported here
 /// for the sim-layer consumers that grew up with `xbc_sim::json`).

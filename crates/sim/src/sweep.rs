@@ -23,10 +23,10 @@ use crate::spec::FrontendSpec;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
-use xbc_frontend::{Frontend, FrontendMetrics, OracleStream};
-use xbc_obs::{jsonl, EventSink, NullSink, VecSink};
+use xbc_frontend::{Frontend, FrontendMetrics};
+use xbc_obs::{jsonl, VecSink};
 use xbc_store::Store;
-use xbc_workload::{InstSource, Trace, TraceSpec};
+use xbc_workload::{Trace, TraceSpec};
 
 /// Bumped whenever simulator semantics change, so stale cached results
 /// are invalidated rather than silently replayed.
@@ -266,125 +266,6 @@ impl Sweep {
     }
 }
 
-/// Steps a frontend to completion while asserting, every cycle, the
-/// accounting identities any correct model maintains (uop conservation
-/// and the build/delivery/stall partition), then runs the frontend's
-/// structural self-audit. Behaviorally identical to [`Frontend::run`] —
-/// only observation is added — so checked and unchecked rows match.
-///
-/// # Panics
-///
-/// Panics with a diagnostic naming the frontend, trace, and cycle on the
-/// first violation.
-pub fn run_checked(fe: &mut dyn Frontend, trace: &Trace, trace_name: &str) -> FrontendMetrics {
-    run_checked_traced(fe, trace, trace_name, &mut NullSink)
-}
-
-/// [`run_checked`] with an event sink attached: every step goes through
-/// [`Frontend::step_traced`], so the sink sees the full `xbc-obs` event
-/// stream while the per-cycle identities are asserted. With a
-/// [`NullSink`] this *is* `run_checked`.
-///
-/// # Panics
-///
-/// Panics with a diagnostic naming the frontend, trace, and cycle on the
-/// first violation.
-pub fn run_checked_traced(
-    fe: &mut dyn Frontend,
-    trace: &Trace,
-    trace_name: &str,
-    sink: &mut dyn EventSink,
-) -> FrontendMetrics {
-    run_checked_oracle(fe, &mut OracleStream::new(trace), trace_name, sink)
-}
-
-/// [`run_checked`] over a streaming instruction source: the checked
-/// replay loop against a windowed oracle (`Frontend::run_streamed` with
-/// every per-cycle identity asserted), so verified replays too are
-/// O(window) in host memory.
-///
-/// # Panics
-///
-/// Same contract as [`run_checked`]; additionally panics on mid-stream
-/// corruption (see `xbc_workload::TraceStream`).
-pub fn run_checked_streamed(
-    fe: &mut dyn Frontend,
-    source: &mut dyn InstSource,
-    trace_name: &str,
-    sink: &mut dyn EventSink,
-) -> FrontendMetrics {
-    run_checked_oracle(fe, &mut OracleStream::streaming(source), trace_name, sink)
-}
-
-/// The checked replay loop itself, over an already-built oracle cursor
-/// (resident or streaming): asserts the accounting identities after
-/// every cycle, then runs the structural self-audits.
-///
-/// # Panics
-///
-/// Panics with a diagnostic naming the frontend, trace, and cycle on the
-/// first violation.
-pub fn run_checked_oracle(
-    fe: &mut dyn Frontend,
-    oracle: &mut OracleStream<'_>,
-    trace_name: &str,
-    sink: &mut dyn EventSink,
-) -> FrontendMetrics {
-    let mut metrics = FrontendMetrics::default();
-    let mut stuck = 0u32;
-    let mut last_delivered = 0u64;
-    while !oracle.done() {
-        let before = metrics.cycles;
-        fe.step_traced(oracle, &mut metrics, sink);
-        assert!(
-            metrics.cycles > before,
-            "[--check] {} on {trace_name}: step added no cycle at uop {}",
-            fe.name(),
-            oracle.delivered_uops()
-        );
-        assert_eq!(
-            metrics.cycles,
-            metrics.build_cycles + metrics.delivery_cycles + metrics.stall_cycles,
-            "[--check] {} on {trace_name}: cycle partition broken at cycle {}",
-            fe.name(),
-            metrics.cycles
-        );
-        assert_eq!(
-            metrics.d2b_cause_sum(),
-            metrics.delivery_to_build,
-            "[--check] {} on {trace_name}: delivery-to-build switch without a cause at cycle {}",
-            fe.name(),
-            metrics.cycles
-        );
-        assert_eq!(
-            metrics.total_uops(),
-            oracle.delivered_uops(),
-            "[--check] {} on {trace_name}: uop conservation broken at cycle {}",
-            fe.name(),
-            metrics.cycles
-        );
-        if oracle.delivered_uops() == last_delivered {
-            stuck += 1;
-            assert!(
-                stuck < 10_000,
-                "[--check] {} on {trace_name}: livelock at inst {}",
-                fe.name(),
-                oracle.inst_index()
-            );
-        } else {
-            last_delivered = oracle.delivered_uops();
-            stuck = 0;
-        }
-    }
-    if let Err(e) = fe.check_invariants() {
-        panic!("[--check] {} on {trace_name}: invariant violation: {e}", fe.name());
-    }
-    if let Err(e) = xbc::XbcInvariants::check_metrics(&metrics) {
-        panic!("[--check] {} on {trace_name}: metrics invariant violation: {e}", fe.name());
-    }
-    metrics
-}
-
 /// One `(trace, label, metrics)` result of [`sweep_custom`].
 pub type CustomRow = (String, String, FrontendMetrics);
 
@@ -587,17 +468,40 @@ mod tests {
 
     #[test]
     fn checked_sweep_rows_match_unchecked() {
+        // Checked cells run through the executor like plain ones: resident
+        // without a store, streamed with one — off a cold store's leader
+        // captures, or off traces stored by an earlier run whose rows were
+        // not. Every path must give the unchecked rows.
+        let dir =
+            std::env::temp_dir().join(format!("xbc-sweep-checked-test-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
         let traces: Vec<TraceSpec> = standard_traces().into_iter().take(2).collect();
         let frontends = vec![FrontendSpec::Ic, FrontendSpec::xbc_default()];
         let mut plain = Sweep::new(traces.clone(), frontends.clone(), 4_000);
         plain.progress = false;
-        let mut checked = Sweep::new(traces, frontends, 4_000);
-        checked.progress = false;
-        checked.check = true;
-        for (p, c) in plain.run().iter().zip(&checked.run()) {
-            assert_eq!(p.cycles, c.cycles, "--check must observe, never perturb");
-            assert_eq!(p.miss_rate, c.miss_rate);
+        let expected = plain.run();
+
+        let cold = Arc::new(Store::open(dir.join("cold")).unwrap());
+        let traces_only = Arc::new(Store::open(dir.join("traces-only")).unwrap());
+        for spec in &traces {
+            traces_only.get_or_capture(spec, 4_000);
         }
+        let cases =
+            [("no store", None, 2), ("cold", Some(cold), 2), ("traces only", Some(traces_only), 0)];
+        for (case, store, captures) in cases {
+            let mut checked = Sweep::new(traces.clone(), frontends.clone(), 4_000);
+            checked.store = store;
+            checked.progress = false;
+            checked.check = true;
+            let (rows, bench) = checked.run_with_bench();
+            assert_eq!(bench.simulated_cells, 4, "{case}: every cell simulated");
+            assert_eq!(bench.captures, captures, "{case}: captures");
+            for (p, c) in expected.iter().zip(&rows) {
+                assert_eq!(p.cycles, c.cycles, "{case}: --check must observe, never perturb");
+                assert_eq!(p.miss_rate, c.miss_rate);
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

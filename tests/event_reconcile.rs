@@ -9,7 +9,7 @@
 //! deterministic across thread counts (byte-identical event files).
 
 use std::sync::Arc;
-use xbc::{XbcConfig, XbcFrontend, XbcInvariants};
+use xbc::{XbcConfig, XbcFrontend};
 use xbc_frontend::{
     BbtcConfig, BbtcFrontend, Frontend, IcFrontend, IcFrontendConfig, Reconciler, TcConfig,
     TraceCacheFrontend, UopCacheConfig, UopCacheFrontend,
@@ -86,13 +86,13 @@ fn every_step_closes_exactly_one_cycle() {
 fn d2b_causes_sum_to_delivery_to_build_on_every_frontend() {
     // Satellite fix for the cause-accounting hole: every delivery→build
     // switch must charge exactly one cause, on every frontend, so the
-    // cause breakdown is a partition — `XbcInvariants::check_metrics`
+    // cause breakdown is a partition — `FrontendMetrics::check_identities`
     // is the reusable form of that check.
     for spec in standard_traces() {
         let trace = spec.capture(6_000);
         for fe in &mut all_frontends(8192) {
             let m = fe.run(&trace);
-            XbcInvariants::check_metrics(&m).unwrap_or_else(|e| {
+            m.check_identities(trace.uop_count()).unwrap_or_else(|(_, e)| {
                 panic!("{} on {}: {e}", fe.name(), spec.name);
             });
             assert_eq!(
